@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race chaos failover-smoke vibed-smoke check cover bench bench-smoke bench-sim quick clean
+.PHONY: all build vet test race chaos failover-smoke vibed-smoke check cover bench bench-smoke bench-sim profile quick clean
 
 all: check
 
@@ -75,17 +75,27 @@ bench: build
 # CI bench smoke: rerun the quick bench to bench_smoke.json and fail if
 # the dispatch speedup (actor vs goroutine process model — a same-machine
 # ratio, so comparable across hosts) regressed more than 20% against the
-# committed BENCH_suite.json. Also runs the engine microbenchmarks in
-# short mode (yield, actor step, schedule) so their ns/op ride along in
+# committed BENCH_suite.json. Also runs the engine and vmem microbenchmarks
+# in short mode (yield, actor step, schedule, alloc, resolve) so their
+# ns/op ride along in
 # the uploaded artifact; absolute times are machine-dependent and are
 # reported, not gated.
 bench-smoke: build
 	$(GO) run ./cmd/vibe-report -quick -bench bench_smoke.json -bench-gate BENCH_suite.json
-	$(GO) test -bench . -benchmem -benchtime 1000x -run '^$$' ./internal/sim/ | tee bench_sim.txt
+	$(GO) test -bench . -benchmem -benchtime 1000x -run '^$$' ./internal/sim/ ./internal/vmem/ | tee bench_sim.txt
 
-# Microbenchmarks for the simulation engine hot paths.
+# Microbenchmarks for the simulation engine and simulated-memory hot paths.
 bench-sim:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim/
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim/ ./internal/vmem/
+
+# CPU-profile one sequential full-registry pass and print the flat
+# profile. The profile and the test binary it symbolizes against stay in
+# artifacts/ for further `go tool pprof` digging.
+profile:
+	mkdir -p artifacts
+	$(GO) test -run '^$$' -bench '^BenchmarkRegistryFull$$' -benchtime 1x \
+	  -cpuprofile artifacts/registry.cpu.pprof -o artifacts/runner.test ./internal/runner/
+	$(GO) tool pprof -top -nodecount 40 artifacts/runner.test artifacts/registry.cpu.pprof
 
 # Smoke-run the full registry in quick mode.
 quick: build

@@ -15,7 +15,8 @@ type Engine struct {
 	now    Time
 	events eventQueue
 	seq    uint64
-	rng    *rand.Rand
+	seed   int64
+	rng    *rand.Rand // built from seed on the first Rand call
 
 	// toMain receives a token when the event queue drains (or Stop fires)
 	// while a process goroutine holds control, returning control to Run.
@@ -59,7 +60,7 @@ type Tracer interface {
 // injection); runs with equal seeds are identical.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		rng:     rand.New(rand.NewSource(seed)),
+		seed:    seed,
 		toMain:  make(chan struct{}, 1),
 		killAck: make(chan struct{}),
 		events:  eventQueue{a: make([]event, 0, 256)},
@@ -69,8 +70,15 @@ func NewEngine(seed int64) *Engine {
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Rand returns the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+// Rand returns the engine's deterministic random source. It is seeded on
+// first use, since most engines never draw from it; the sequence is the
+// same as if it had been seeded in NewEngine.
+func (e *Engine) Rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
+}
 
 // SetTracer installs tr as the engine's tracer. Pass nil to disable.
 func (e *Engine) SetTracer(tr Tracer) { e.tracer = tr }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -481,5 +482,32 @@ func TestTracingGuardZeroAlloc(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("guarded trace call allocated %.1f per run with tracing off", n)
+	}
+}
+
+// The random source is seeded lazily; an engine that first draws late, in
+// the middle of a run, must see exactly the sequence an eagerly seeded
+// source yields.
+func TestRandLazySeedMatchesEager(t *testing.T) {
+	const seed, n = 42, 16
+	eager := rand.New(rand.NewSource(seed))
+	late := NewEngine(seed)
+	var got []int64
+	late.At(10, func() {})
+	late.At(500, func() {
+		for i := 0; i < n; i++ {
+			got = append(got, late.Rand().Int63())
+		}
+	})
+	if err := late.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("drew %d values, want %d", len(got), n)
+	}
+	for i, v := range got {
+		if want := eager.Int63(); v != want {
+			t.Fatalf("draw %d: late %d, eager %d", i, v, want)
+		}
 	}
 }

@@ -36,7 +36,7 @@ func (n *Nic) RegisterRange(ctx *Ctx, addr vmem.Addr, length int) (MemHandle, er
 	if length <= 0 {
 		return 0, fmt.Errorf("%w: register %d bytes", ErrLength, length)
 	}
-	if _, err := ctx.Host.AS.Resolve(addr, length); err != nil {
+	if err := ctx.Host.AS.Check(addr, length); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrProtection, err)
 	}
 	pages := vmem.NumPages(addr, length)

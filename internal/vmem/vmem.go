@@ -1,12 +1,20 @@
 // Package vmem models per-process paged virtual memory for the simulated
 // cluster. Buffers carry both a virtual address (what VIA descriptors and
-// the NIC translation machinery operate on) and a real byte slice (so data
+// the NIC translation machinery operate on) and real bytes (so data
 // integrity can be checked end to end).
+//
+// Storage is lazy, like demand-zero pages: a buffer gets its bytes on the
+// first data access (Bytes, Slice, Resolve, Fill, FillPattern,
+// CheckPattern) and reads as zeros until written. Everything that works on
+// addresses and lengths alone (Len, Addr, AddrAt, Owner, Check) never
+// allocates, so registering and deregistering a buffer whose data nothing
+// moves costs no host memory however large it is.
 package vmem
 
 import (
 	"errors"
 	"fmt"
+	"sort"
 )
 
 // PageSize is the simulated page size, matching the i386 Linux hosts of the
@@ -45,29 +53,40 @@ func NumPages(addr Addr, length int) int {
 	return int(last - first + 1)
 }
 
-// Buffer is a contiguous allocation in a simulated address space.
+// Buffer is a contiguous allocation in a simulated address space. Its
+// storage is materialized on first data access; see back.
 type Buffer struct {
 	addr Addr
-	data []byte
+	n    int
+	data []byte // nil until back runs
 	as   *AddressSpace
+}
+
+// back returns the buffer's storage, allocating it zeroed on first use.
+// Every data accessor goes through here.
+func (b *Buffer) back() []byte {
+	if b.data == nil {
+		b.data = make([]byte, b.n)
+	}
+	return b.data
 }
 
 // Addr returns the buffer's starting virtual address.
 func (b *Buffer) Addr() Addr { return b.addr }
 
-// Len returns the buffer length in bytes.
-func (b *Buffer) Len() int { return len(b.data) }
+// Len returns the buffer length in bytes. It does not back the buffer.
+func (b *Buffer) Len() int { return b.n }
 
-// Bytes returns the backing storage. Mutations are visible to simulated
-// DMA, exactly as host memory would be.
-func (b *Buffer) Bytes() []byte { return b.data }
+// Bytes returns the storage, backing the buffer if nothing has yet.
+// Mutations are visible to simulated DMA, exactly as host memory would be.
+func (b *Buffer) Bytes() []byte { return b.back() }
 
 // Slice returns the sub-range [off, off+n) of the buffer's storage.
 func (b *Buffer) Slice(off, n int) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > len(b.data) {
-		return nil, fmt.Errorf("%w: slice [%d,%d) of %d-byte buffer", ErrOutOfRange, off, off+n, len(b.data))
+	if off < 0 || n < 0 || off+n > b.n {
+		return nil, fmt.Errorf("%w: slice [%d,%d) of %d-byte buffer", ErrOutOfRange, off, off+n, b.n)
 	}
-	return b.data[off : off+n], nil
+	return b.back()[off : off+n], nil
 }
 
 // AddrAt returns the virtual address of byte off within the buffer.
@@ -75,27 +94,30 @@ func (b *Buffer) AddrAt(off int) Addr { return Addr(uint64(b.addr) + uint64(off)
 
 // Fill sets every byte of the buffer to v.
 func (b *Buffer) Fill(v byte) {
-	for i := range b.data {
-		b.data[i] = v
+	data := b.back()
+	for i := range data {
+		data[i] = v
 	}
 }
 
 // FillPattern writes a position-dependent pattern seeded by seed, for
 // end-to-end integrity checks.
 func (b *Buffer) FillPattern(seed byte) {
-	for i := range b.data {
-		b.data[i] = seed + byte(i*31)
+	data := b.back()
+	for i := range data {
+		data[i] = seed + byte(i*31)
 	}
 }
 
 // CheckPattern verifies FillPattern(seed) over the first n bytes.
 func (b *Buffer) CheckPattern(seed byte, n int) error {
-	if n > len(b.data) {
+	if n > b.n {
 		return ErrOutOfRange
 	}
+	data := b.back()
 	for i := 0; i < n; i++ {
-		if b.data[i] != seed+byte(i*31) {
-			return fmt.Errorf("vmem: pattern mismatch at offset %d: got %#x want %#x", i, b.data[i], seed+byte(i*31))
+		if data[i] != seed+byte(i*31) {
+			return fmt.Errorf("vmem: pattern mismatch at offset %d: got %#x want %#x", i, data[i], seed+byte(i*31))
 		}
 	}
 	return nil
@@ -119,7 +141,7 @@ func (as *AddressSpace) Alloc(n int) *Buffer {
 	if n <= 0 {
 		panic(fmt.Sprintf("vmem: Alloc(%d)", n))
 	}
-	b := &Buffer{addr: as.next, data: make([]byte, n), as: as}
+	b := &Buffer{addr: as.next, n: n, as: as}
 	as.buffers = append(as.buffers, b)
 	pages := (n + PageSize - 1) / PageSize
 	// Leave a guard page between allocations so off-by-one accesses fault
@@ -131,31 +153,52 @@ func (as *AddressSpace) Alloc(n int) *Buffer {
 // Advance returns a shifted by n bytes.
 func (a Addr) Advance(n int) Addr { return Addr(uint64(a) + uint64(n)) }
 
-// Resolve maps the virtual range [addr, addr+n) to backing storage. It
-// fails if the range is unmapped or spans an allocation boundary, the
-// simulated equivalent of a fault during DMA.
+// Resolve maps the virtual range [addr, addr+n) to backing storage,
+// backing the owning buffer if nothing has yet. It fails if the range is
+// unmapped or spans an allocation boundary, the simulated equivalent of a
+// fault during DMA.
 func (as *AddressSpace) Resolve(addr Addr, n int) ([]byte, error) {
+	b, off, err := as.lookup(addr, n)
+	if err != nil {
+		return nil, err
+	}
+	return b.back()[off : off+n], nil
+}
+
+// Check validates [addr, addr+n) exactly as Resolve does, returning the
+// same errors, without backing the owning buffer.
+func (as *AddressSpace) Check(addr Addr, n int) error {
+	_, _, err := as.lookup(addr, n)
+	return err
+}
+
+// lookup finds the buffer holding the whole range [addr, addr+n) and the
+// offset of addr within it.
+func (as *AddressSpace) lookup(addr Addr, n int) (*Buffer, int, error) {
 	b := as.find(addr)
 	if b == nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadAddress, addr)
+		return nil, 0, fmt.Errorf("%w: %v", ErrBadAddress, addr)
 	}
 	off := int(uint64(addr) - uint64(b.addr))
-	if off+n > len(b.data) {
-		return nil, fmt.Errorf("%w: [%v,+%d) beyond buffer of %d bytes", ErrOutOfRange, addr, n, len(b.data))
+	if n < 0 || off+n > b.n {
+		return nil, 0, fmt.Errorf("%w: [%v,+%d) beyond buffer of %d bytes", ErrOutOfRange, addr, n, b.n)
 	}
-	return b.data[off : off+n], nil
+	return b, off, nil
 }
 
 // Owner returns the buffer containing addr, or nil.
 func (as *AddressSpace) Owner(addr Addr) *Buffer { return as.find(addr) }
 
 func (as *AddressSpace) find(addr Addr) *Buffer {
-	// Linear scan is fine: benchmark processes allocate at most a few
-	// thousand buffers, and this runs outside the simulated fast path.
-	for _, b := range as.buffers {
-		if addr >= b.addr && uint64(addr) < uint64(b.addr)+uint64(len(b.data)) {
-			return b
-		}
+	// Binary search: Alloc only ever advances next, so buffers is sorted
+	// by address, and the registration figures grow an address space to
+	// one buffer per size per repetition.
+	i := sort.Search(len(as.buffers), func(i int) bool { return as.buffers[i].addr > addr }) - 1
+	if i < 0 {
+		return nil
+	}
+	if b := as.buffers[i]; uint64(addr) < uint64(b.addr)+uint64(b.n) {
+		return b
 	}
 	return nil
 }
