@@ -19,7 +19,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/runner/... ./internal/metrics/... ./internal/trace/... ./internal/serve/...
+	$(GO) test -race ./internal/runner/... ./internal/metrics/... ./internal/trace/... ./internal/serve/... ./internal/pipeline/...
 
 # Seeded chaos soak: run CHAOS_PLANS random fault plans against the VIA
 # stack under the race detector — the crossbar soak (TestChaosSoak) plus

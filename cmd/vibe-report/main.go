@@ -30,31 +30,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 
 	"vibe/internal/bench"
 	"vibe/internal/core"
-	"vibe/internal/fault"
-	"vibe/internal/metrics"
-	"vibe/internal/prof"
-	"vibe/internal/provider"
+	"vibe/internal/pipeline"
 	"vibe/internal/results"
 	"vibe/internal/runner"
 	"vibe/internal/table"
-	"vibe/internal/trace"
 )
 
-// repeatedFlag collects every occurrence of a repeatable string flag.
-type repeatedFlag []string
-
-func (r *repeatedFlag) String() string     { return strings.Join(*r, " ") }
-func (r *repeatedFlag) Set(v string) error { *r = append(*r, v); return nil }
-
 func main() {
-	var sets, sweeps repeatedFlag
+	var sets, sweeps []string
 	var (
 		exp          = flag.String("exp", "", "experiment id to run (default: all)")
 		list         = flag.Bool("list", false, "list experiments and exit")
@@ -80,65 +68,49 @@ func main() {
 		profileOut   = flag.String("profile-out", "", "write a folded-stack virtual-time profile (flamegraph input) across all experiments")
 		profileTop   = flag.Int("profile-top", 8, "with -profile-out, print each experiment's top N components")
 	)
-	flag.Var(&sets, "set", "override a model parameter, e.g. -set DoorbellCost=2us (repeatable)")
-	flag.Var(&sweeps, "sweep", "sweep a parameter over values, e.g. -sweep TLBCapacity=8,32,128 (repeatable; cells form a grid)")
+	flag.Func("set", "override a model parameter, e.g. -set DoorbellCost=2us (repeatable)",
+		func(v string) error { sets = append(sets, v); return nil })
+	flag.Func("sweep", "sweep a parameter over values, e.g. -sweep TLBCapacity=8,32,128 (repeatable; cells form a grid)",
+		func(v string) error { sweeps = append(sweeps, v); return nil })
 	flag.Parse()
 
-	exps := core.Experiments()
 	if *list {
-		for _, e := range exps {
+		for _, e := range core.Experiments() {
 			fmt.Printf("%-6s %s\n", e.ID, e.Title)
 		}
 		return
 	}
+	if *tol < 0 {
+		fatal(fmt.Errorf("-tol must be >= 0, got %g", *tol))
+	}
+	var ids []string
 	if *exp != "" {
-		e, err := core.ExperimentByID(strings.ToUpper(*exp))
-		if err != nil {
-			fatal(err)
-		}
-		exps = []*core.Experiment{e}
+		ids = []string{*exp}
 	}
-
-	spec, err := buildSpec(*scenarioPath, sets, *faultPath)
+	exps, err := pipeline.Select(ids)
 	if err != nil {
 		fatal(err)
 	}
-	specs, err := core.ExpandSweeps(spec, sweeps)
+	spec, err := pipeline.Spec(*scenarioPath, sets, *faultPath)
 	if err != nil {
 		fatal(err)
 	}
-	scs, err := core.CompileScenarios(specs, *quick)
+	run, err := pipeline.Compile(pipeline.Plan{
+		Spec:        spec,
+		Sweeps:      sweeps,
+		Experiments: exps,
+		Quick:       *quick,
+		Label:       *label,
+		Metrics:     *metricsOn || *metricsOut != "",
+		Trace:       *traceOut != "",
+		Profile:     *profileOut != "",
+		SpanSample:  *spanSample,
+		Workers:     *parallel,
+	})
 	if err != nil {
 		fatal(err)
 	}
-
-	// Instrumentation: a per-scenario metrics collector (safe to share
-	// across the runner's workers) and, for tracing, one recorder — a
-	// single-writer structure, so tracing pins the run to one worker.
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = &trace.Recorder{Limit: 1 << 20}
-		*parallel = 1
-	}
-	collectMetrics := *metricsOn || *metricsOut != ""
-	collectors := make([]*metrics.Collector, len(scs))
-	if collectMetrics || rec != nil {
-		for i, sc := range scs {
-			in := &core.Instr{Trace: rec, SpanSample: *spanSample}
-			if collectMetrics {
-				in.Metrics = metrics.NewCollector()
-				collectors[i] = in.Metrics
-			}
-			sc.Instr = in
-		}
-	}
-	// The profile is shared across workers; ProfiledExperiments scopes
-	// each experiment's attribution under its ID.
-	var profile *prof.Profile
-	if *profileOut != "" {
-		profile = prof.New()
-		exps = core.ProfiledExperiments(exps, profile)
-	}
+	scs := run.Scenarios
 
 	if *benchOut != "" {
 		if len(scs) > 1 {
@@ -189,19 +161,15 @@ func main() {
 		return
 	}
 
-	grid := runner.RunGrid(exps, scs, runner.Options{Workers: *parallel})
-	if err := runner.FirstGridError(grid); err != nil {
+	arts, err := run.Execute(nil)
+	if err != nil {
 		fatal(err)
 	}
 
 	exitCode := 0
-	for si, row := range grid {
+	for si, row := range arts.Grid {
 		if len(scs) > 1 {
 			fmt.Printf("########## scenario: %s ##########\n\n", scs[si].Label())
-		}
-		set := &results.Set{Label: *label, Scenario: results.ProvenanceOf(scs[si])}
-		if collectors[si] != nil {
-			set.Metrics = collectors[si].Snapshot().Map()
 		}
 		for i, e := range exps {
 			fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
@@ -235,16 +203,15 @@ func main() {
 				fmt.Printf("note: %s\n", n)
 			}
 			fmt.Println()
-			set.Experiments = append(set.Experiments, results.FromReport(e.ID, rep))
 		}
 
-		if c := collectors[si]; c != nil && *metricsOn {
-			fmt.Printf("--- metrics: %s (%d simulated systems) ---\n", scs[si].Label(), c.Systems())
-			c.Snapshot().Render(os.Stdout)
+		if *metricsOn {
+			arts.WriteMetrics(os.Stdout, si)
 			fmt.Println()
 		}
+		set := arts.Sets[si]
 		if *jsonOut != "" {
-			path := cellPath(*jsonOut, si, len(scs))
+			path := pipeline.CellName(*jsonOut, si, len(scs))
 			if err := results.Save(path, set); err != nil {
 				fatal(err)
 			}
@@ -265,95 +232,21 @@ func main() {
 			}
 		}
 	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := metrics.MergedSnapshot(collectors...).WriteJSON(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrics written to %s\n", *metricsOut)
+	if err := arts.SaveMetrics(os.Stdout, *metricsOut); err != nil {
+		fatal(err)
 	}
-	if rec != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rec.WriteChrome(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace written to %s (%d events, %d dropped)\n", *traceOut, rec.Len(), rec.Dropped())
+	if err := arts.SaveTrace(os.Stdout, *traceOut); err != nil {
+		fatal(err)
 	}
-	if profile != nil {
+	if arts.Profile != nil {
 		for _, e := range exps {
-			profile.RenderTop(os.Stdout, e.ID, *profileTop)
+			arts.Profile.RenderTop(os.Stdout, e.ID, *profileTop)
 		}
-		f, err := os.Create(*profileOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := profile.WriteFolded(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("profile written to %s (%d stacks)\n", *profileOut, profile.Len())
+	}
+	if err := arts.SaveProfile(os.Stdout, *profileOut); err != nil {
+		fatal(err)
 	}
 	os.Exit(exitCode)
-}
-
-// buildSpec assembles the scenario spec from -scenario, -set and -fault
-// flags; -set entries and the -fault plan win over the file's.
-func buildSpec(path string, sets []string, faultPath string) (core.ScenarioSpec, error) {
-	var spec core.ScenarioSpec
-	if path != "" {
-		s, err := core.LoadScenarioSpec(path)
-		if err != nil {
-			return spec, err
-		}
-		spec = s
-	}
-	if len(sets) > 0 {
-		kv, err := provider.ParseSet(sets)
-		if err != nil {
-			return spec, err
-		}
-		if spec.Set == nil {
-			spec.Set = map[string]string{}
-		}
-		for k, v := range kv {
-			spec.Set[k] = v
-		}
-	}
-	if faultPath != "" {
-		p, err := fault.Load(faultPath)
-		if err != nil {
-			return spec, err
-		}
-		spec.Fault = p
-	}
-	return spec, nil
-}
-
-// cellPath derives a per-cell output path for sweep grids: out.json of a
-// three-cell sweep becomes out.cell0.json, out.cell1.json, out.cell2.json.
-func cellPath(path string, i, n int) string {
-	if n == 1 {
-		return path
-	}
-	ext := filepath.Ext(path)
-	return fmt.Sprintf("%s.cell%d%s", strings.TrimSuffix(path, ext), i, ext)
 }
 
 // groupTable renders a series group as a wide table: the x column plus one

@@ -25,15 +25,12 @@ import (
 
 	"vibe/internal/bench"
 	"vibe/internal/core"
-	"vibe/internal/fault"
 	"vibe/internal/logp"
-	"vibe/internal/metrics"
 	"vibe/internal/mp"
-	"vibe/internal/prof"
+	"vibe/internal/pipeline"
 	"vibe/internal/provider"
 	"vibe/internal/runner"
 	"vibe/internal/table"
-	"vibe/internal/trace"
 	"vibe/internal/via"
 )
 
@@ -55,30 +52,8 @@ type benchSpec struct {
 
 func benches() []benchSpec {
 	return []benchSpec{
-		{"latency", func(a benchArgs) (*core.Report, error) {
-			lat, cpuU, err := core.LatencySweep(a.cfg, a.sizes, a.o)
-			if err != nil {
-				return nil, err
-			}
-			t := table.New(fmt.Sprintf("%s latency (%s)", a.cfg.Model.Name, a.o.Mode),
-				"size (bytes)", "latency (us)", "CPU (%)")
-			for i, p := range lat.Points {
-				t.AddRow(int(p.X), p.Y, cpuU.Points[i].Y)
-			}
-			return &core.Report{Tables: []*table.Table{t}}, nil
-		}},
-		{"bandwidth", func(a benchArgs) (*core.Report, error) {
-			bw, cpuU, err := core.BandwidthSweep(a.cfg, a.sizes, a.o)
-			if err != nil {
-				return nil, err
-			}
-			t := table.New(fmt.Sprintf("%s bandwidth (%s)", a.cfg.Model.Name, a.o.Mode),
-				"size (bytes)", "bandwidth (MB/s)", "CPU (%)")
-			for i, p := range bw.Points {
-				t.AddRow(int(p.X), p.Y, cpuU.Points[i].Y)
-			}
-			return &core.Report{Tables: []*table.Table{t}}, nil
-		}},
+		{"latency", xferBench("latency", "latency (us)", core.LatencySweep)},
+		{"bandwidth", xferBench("bandwidth", "bandwidth (MB/s)", core.BandwidthSweep)},
 		{"clientserver", func(a benchArgs) (*core.Report, error) {
 			s, err := core.ClientServer(a.cfg, a.req, a.sizes)
 			if err != nil {
@@ -161,6 +136,23 @@ func benches() []benchSpec {
 	}
 }
 
+// xferBench builds a data-transfer benchmark: one row per message size
+// with the sweep's measurement and the host CPU utilization.
+func xferBench(what, unit string, sweep func(core.Config, []int, core.XferOpts) (*bench.Series, *bench.Series, error)) func(benchArgs) (*core.Report, error) {
+	return func(a benchArgs) (*core.Report, error) {
+		ys, cpuU, err := sweep(a.cfg, a.sizes, a.o)
+		if err != nil {
+			return nil, err
+		}
+		t := table.New(fmt.Sprintf("%s %s (%s)", a.cfg.Model.Name, what, a.o.Mode),
+			"size (bytes)", unit, "CPU (%)")
+		for i, p := range ys.Points {
+			t.AddRow(int(p.X), p.Y, cpuU.Points[i].Y)
+		}
+		return &core.Report{Tables: []*table.Table{t}}, nil
+	}
+}
+
 func regReport(model, which string, s *bench.Series) *core.Report {
 	t := table.New(fmt.Sprintf("%s %s cost", model, which), "buffer (bytes)", "cost (us)")
 	for _, p := range s.Points {
@@ -193,14 +185,8 @@ func providerHelp() string {
 	return "provider model: " + strings.Join(provider.Names(), ", ")
 }
 
-// repeatedFlag collects every occurrence of a repeatable string flag.
-type repeatedFlag []string
-
-func (r *repeatedFlag) String() string     { return strings.Join(*r, " ") }
-func (r *repeatedFlag) Set(v string) error { *r = append(*r, v); return nil }
-
 func main() {
-	var sets, sweeps repeatedFlag
+	var sets, sweeps []string
 	var (
 		prov         = flag.String("provider", "clan", providerHelp())
 		benchSel     = flag.String("bench", "latency", benchHelp())
@@ -231,8 +217,10 @@ func main() {
 		topo         = flag.String("topo", "", "fabric topology: crossbar, fattree, dragonfly, torus3d (shorthand for -set NetTopology=...)")
 		route        = flag.String("route", "", "multipath route policy: failover, adaptive (shorthand for -set NetRoutePolicy=...)")
 	)
-	flag.Var(&sets, "set", "override a model parameter, e.g. -set DoorbellCost=2us (repeatable; see provider catalog)")
-	flag.Var(&sweeps, "sweep", "sweep a parameter over values, e.g. -sweep TLBCapacity=8,32,128 (repeatable; cells form a grid)")
+	flag.Func("set", "override a model parameter, e.g. -set DoorbellCost=2us (repeatable; see provider catalog)",
+		func(v string) error { sets = append(sets, v); return nil })
+	flag.Func("sweep", "sweep a parameter over values, e.g. -sweep TLBCapacity=8,32,128 (repeatable; cells form a grid)",
+		func(v string) error { sweeps = append(sweeps, v); return nil })
 	flag.Parse()
 
 	if *params {
@@ -242,245 +230,141 @@ func main() {
 		return
 	}
 
-	spec, err := buildSpec(*scenarioPath, sets, *faultPath)
-	if err != nil {
-		fatal(err)
-	}
+	// -topo and -route are -set shorthands, applied after the -set flags.
 	if *topo != "" {
-		if spec.Set == nil {
-			spec.Set = map[string]string{}
-		}
-		spec.Set["NetTopology"] = *topo
+		sets = append(sets, "NetTopology="+*topo)
 	}
 	if *route != "" {
-		if spec.Set == nil {
-			spec.Set = map[string]string{}
-		}
-		spec.Set["NetRoutePolicy"] = *route
+		sets = append(sets, "NetRoutePolicy="+*route)
 	}
-	specs, err := core.ExpandSweeps(spec, sweeps)
+	spec, err := pipeline.Spec(*scenarioPath, sets, *faultPath)
 	if err != nil {
 		fatal(err)
 	}
-	scs, err := core.CompileScenarios(specs, *quick)
+	o, err := xferOpts(*mode, *rel)
 	if err != nil {
 		fatal(err)
 	}
-
-	// Instrumentation: a per-scenario metrics collector (safe to share
-	// across the runner's workers) and, for tracing, one recorder — a
-	// single-writer structure, so tracing pins the run to one worker.
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = &trace.Recorder{Limit: 1 << 20}
-		*parallel = 1
-	}
-	var profile *prof.Profile
-	if *profileOut != "" {
-		profile = prof.New()
-	}
-	collectMetrics := *metricsOn || *metricsOut != ""
-	collectors := make([]*metrics.Collector, len(scs))
-	if collectMetrics || rec != nil || profile != nil {
-		for i, sc := range scs {
-			in := &core.Instr{Trace: rec, SpanSample: *spanSample}
-			if collectMetrics {
-				in.Metrics = metrics.NewCollector()
-				collectors[i] = in.Metrics
-			}
-			sc.Instr = in
-		}
-	}
-	finishInstr := func() {
-		for i, c := range collectors {
-			if c == nil || !*metricsOn {
-				continue
-			}
-			fmt.Printf("\n--- metrics: %s (%d simulated systems) ---\n", scs[i].Label(), c.Systems())
-			c.Snapshot().Render(os.Stdout)
-		}
-		if *metricsOut != "" {
-			if err := writeMetricsOut(*metricsOut, collectors); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("metrics written to %s\n", *metricsOut)
-		}
-		if rec != nil {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fatal(err)
-			}
-			if err := rec.WriteChrome(f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("trace written to %s (%d events, %d dropped)\n", *traceOut, rec.Len(), rec.Dropped())
-		}
-		if profile != nil {
-			f, err := os.Create(*profileOut)
-			if err != nil {
-				fatal(err)
-			}
-			if err := profile.WriteFolded(f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("profile written to %s (%d stacks)\n", *profileOut, profile.Len())
-		}
-	}
-
-	if *benchSel == "suite" {
-		exps := core.Experiments()
-		if profile != nil {
-			exps = core.ProfiledExperiments(exps, profile)
-		}
-		err := runSuite(exps, scs, *parallel, *progress)
-		finishInstr()
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	b, ok := benchByName(*benchSel)
-	if !ok {
-		fatal(fmt.Errorf("unknown benchmark %q (have: %s)", *benchSel, benchHelp()))
-	}
-
-	// The scenario file's base model is the default provider; an explicit
-	// -provider flag wins over it.
-	baseName := *prov
-	if spec.Base != "" && !flagWasSet("provider") {
-		baseName = spec.Base
-	}
-	m, err := provider.ByNameExtended(baseName)
-	if err != nil {
-		fatal(err)
-	}
-
-	o := core.XferOpts{
-		RecvViaCQ: *useCQ,
-		ActiveVIs: *vis,
-		Segments:  *segs,
-		RDMA:      *rdma,
-		Notify:    *notify,
-		Window:    *window,
-	}
-	if *mode == "block" {
-		o.Mode = core.Blocking
-	}
+	o.RecvViaCQ = *useCQ
+	o.ActiveVIs = *vis
+	o.Segments = *segs
+	o.RDMA = *rdma
+	o.Notify = *notify
+	o.Window = *window
 	if *reuse >= 0 {
 		o.VaryBuffers = true
 		o.ReusePct = *reuse
 	}
-	switch *rel {
+	plan := pipeline.Plan{
+		Spec:       spec,
+		Sweeps:     sweeps,
+		Quick:      *quick,
+		Metrics:    *metricsOn || *metricsOut != "",
+		Trace:      *traceOut != "",
+		Profile:    *profileOut != "",
+		SpanSample: *spanSample,
+		Workers:    *parallel,
+	}
+
+	var progressFn func(runner.ProgressEvent)
+	if *benchSel == "suite" {
+		plan.Experiments = core.Experiments()
+		if *progress {
+			progressFn = printProgress
+		}
+	} else {
+		b, ok := benchByName(*benchSel)
+		if !ok {
+			fatal(fmt.Errorf("unknown benchmark %q (have: %s)", *benchSel, benchHelp()))
+		}
+		// The scenario file's base model is the default provider; an
+		// explicit -provider flag wins over it.
+		baseName := *prov
+		if spec.Base != "" && !flagWasSet("provider") {
+			baseName = spec.Base
+		}
+		m, err := provider.ByNameExtended(baseName)
+		if err != nil {
+			fatal(err)
+		}
+		sizes := bench.SizeLadder()
+		if *sizesArg != "" {
+			sizes = nil
+			for _, s := range strings.Split(*sizesArg, ",") {
+				n, err := strconv.Atoi(strings.TrimSpace(s))
+				if err != nil {
+					fatal(fmt.Errorf("bad size %q: %v", s, err))
+				}
+				sizes = append(sizes, n)
+			}
+		}
+		// Each (benchmark, scenario) cell runs as a synthetic experiment
+		// on the runner's pool, so sweep grids parallelize exactly like
+		// the suite.
+		plan.Experiments = []*core.Experiment{{
+			ID:    b.name,
+			Title: b.name,
+			Run: func(sc *core.Scenario) (*core.Report, error) {
+				cfg := sc.Config(m)
+				if *iters > 0 {
+					cfg.Iters = *iters
+				}
+				return b.run(benchArgs{cfg: cfg, o: o, sizes: sizes, req: *req})
+			},
+		}}
+	}
+
+	run, err := pipeline.Compile(plan)
+	if err != nil {
+		fatal(err)
+	}
+	a, err := run.Execute(progressFn)
+	if *benchSel == "suite" {
+		printSuite(a)
+	} else {
+		printBench(a, *csv)
+	}
+	if *metricsOn {
+		for si := range a.Scenarios {
+			fmt.Println()
+			a.WriteMetrics(os.Stdout, si)
+		}
+	}
+	if err := a.SaveMetrics(os.Stdout, *metricsOut); err != nil {
+		fatal(err)
+	}
+	if err := a.SaveTrace(os.Stdout, *traceOut); err != nil {
+		fatal(err)
+	}
+	if err := a.SaveProfile(os.Stdout, *profileOut); err != nil {
+		fatal(err)
+	}
+	if err != nil {
+		fatal(err)
+	}
+}
+
+// xferOpts parses the -mode and -reliability flags, rejecting unknown
+// values.
+func xferOpts(mode, rel string) (core.XferOpts, error) {
+	var o core.XferOpts
+	switch mode {
+	case "poll":
+	case "block":
+		o.Mode = core.Blocking
+	default:
+		return o, fmt.Errorf("unknown mode %q (want poll or block)", mode)
+	}
+	switch rel {
 	case "unreliable":
 	case "delivery":
 		o.Reliability = via.ReliableDelivery
 	case "reception":
 		o.Reliability = via.ReliableReception
 	default:
-		fatal(fmt.Errorf("unknown reliability %q", *rel))
+		return o, fmt.Errorf("unknown reliability %q", rel)
 	}
-
-	sizes := bench.SizeLadder()
-	if *sizesArg != "" {
-		sizes = nil
-		for _, s := range strings.Split(*sizesArg, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fatal(fmt.Errorf("bad size %q: %v", s, err))
-			}
-			sizes = append(sizes, n)
-		}
-	}
-
-	// Each (benchmark, scenario) cell runs as a synthetic experiment on the
-	// runner's pool, so sweep grids parallelize exactly like the suite.
-	exp := &core.Experiment{
-		ID:    b.name,
-		Title: b.name,
-		Run: func(sc *core.Scenario) (*core.Report, error) {
-			cfg := sc.Config(m)
-			if *iters > 0 {
-				cfg.Iters = *iters
-			}
-			return b.run(benchArgs{cfg: cfg, o: o, sizes: sizes, req: *req})
-		},
-	}
-	exps := []*core.Experiment{exp}
-	if profile != nil {
-		exps = core.ProfiledExperiments(exps, profile)
-	}
-	grid := runner.RunGrid(exps, scs, runner.Options{Workers: *parallel})
-	for si, row := range grid {
-		if len(scs) > 1 {
-			fmt.Printf("--- scenario: %s ---\n", scs[si].Label())
-		}
-		c := &row[0]
-		if c.Err != nil {
-			if c.Skipped() {
-				continue
-			}
-			fatal(c.Err)
-		}
-		for _, t := range c.Report.Tables {
-			if *csv {
-				t.RenderCSV(os.Stdout)
-			} else {
-				t.Render(os.Stdout)
-			}
-		}
-		for _, n := range c.Report.Notes {
-			fmt.Println(n)
-		}
-		if len(scs) > 1 {
-			fmt.Println()
-		}
-	}
-	finishInstr()
-	if err := runner.FirstGridError(grid); err != nil {
-		os.Exit(1)
-	}
-}
-
-// buildSpec assembles the scenario spec from -scenario, -set and -fault
-// flags; -set entries and the -fault plan win over the file's.
-func buildSpec(path string, sets []string, faultPath string) (core.ScenarioSpec, error) {
-	var spec core.ScenarioSpec
-	if path != "" {
-		s, err := core.LoadScenarioSpec(path)
-		if err != nil {
-			return spec, err
-		}
-		spec = s
-	}
-	if len(sets) > 0 {
-		kv, err := provider.ParseSet(sets)
-		if err != nil {
-			return spec, err
-		}
-		if spec.Set == nil {
-			spec.Set = map[string]string{}
-		}
-		for k, v := range kv {
-			spec.Set[k] = v
-		}
-	}
-	if faultPath != "" {
-		p, err := fault.Load(faultPath)
-		if err != nil {
-			return spec, err
-		}
-		spec.Fault = p
-	}
-	return spec, nil
+	return o, nil
 }
 
 func flagWasSet(name string) bool {
@@ -493,28 +377,52 @@ func flagWasSet(name string) bool {
 	return set
 }
 
-// runSuite executes the given experiments (times each scenario in the
-// grid) across the runner's worker pool, printing a one-line status per
-// cell in registry order. With progress enabled, a live per-cell line
-// goes to stderr as cells complete, in dispatch order.
-func runSuite(exps []*core.Experiment, scs []*core.Scenario, workers int, progress bool) error {
-	opt := runner.Options{Workers: workers}
-	if progress {
-		opt.Progress = func(ev runner.ProgressEvent) {
-			status := "ok"
-			switch {
-			case ev.Skipped:
-				status = "skipped"
-			case ev.Err != nil:
-				status = "FAILED"
+// printProgress is the -progress callback: a live per-cell line on
+// stderr as cells complete, in dispatch order.
+func printProgress(ev runner.ProgressEvent) {
+	status := "ok"
+	switch {
+	case ev.Skipped:
+		status = "skipped"
+	case ev.Err != nil:
+		status = "FAILED"
+	}
+	fmt.Fprintf(os.Stderr, "[%d/%d] %-8s %-7s %s\n", ev.Done, ev.Total, ev.Experiment, status, ev.Scenario)
+}
+
+// printBench renders each scenario's benchmark tables and notes, stopping
+// at the first failed cell.
+func printBench(a *pipeline.Artifacts, csv bool) {
+	multi := len(a.Scenarios) > 1
+	for si, row := range a.Grid {
+		if multi {
+			fmt.Printf("--- scenario: %s ---\n", a.Scenarios[si].Label())
+		}
+		c := &row[0]
+		if c.Err != nil {
+			return
+		}
+		for _, t := range c.Report.Tables {
+			if csv {
+				t.RenderCSV(os.Stdout)
+			} else {
+				t.Render(os.Stdout)
 			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] %-8s %-7s %s\n", ev.Done, ev.Total, ev.Experiment, status, ev.Scenario)
+		}
+		for _, n := range c.Report.Notes {
+			fmt.Println(n)
+		}
+		if multi {
+			fmt.Println()
 		}
 	}
-	grid := runner.RunGrid(exps, scs, opt)
-	for si, row := range grid {
-		if len(scs) > 1 {
-			fmt.Printf("=== scenario: %s ===\n", scs[si].Label())
+}
+
+// printSuite prints a one-line status per suite cell in registry order.
+func printSuite(a *pipeline.Artifacts) {
+	for si, row := range a.Grid {
+		if len(a.Scenarios) > 1 {
+			fmt.Printf("=== scenario: %s ===\n", a.Scenarios[si].Label())
 		}
 		for i := range row {
 			c := &row[i]
@@ -524,25 +432,10 @@ func runSuite(exps []*core.Experiment, scs []*core.Scenario, workers int, progre
 			case c.Err != nil:
 				fmt.Printf("%-8s FAILED: %v\n", c.ID, c.Err)
 			default:
-				fmt.Printf("%-8s ok  %8.1f ms  %s\n", c.ID, float64(c.Wall.Microseconds())/1000, exps[i].Title)
+				fmt.Printf("%-8s ok  %8.1f ms  %s\n", c.ID, float64(c.Wall.Microseconds())/1000, a.Plan.Experiments[i].Title)
 			}
 		}
 	}
-	return runner.FirstGridError(grid)
-}
-
-// writeMetricsOut writes the cross-scenario merged snapshot as key-sorted
-// JSON, the machine-readable sibling of the rendered -metrics tables.
-func writeMetricsOut(path string, collectors []*metrics.Collector) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := metrics.MergedSnapshot(collectors...).WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

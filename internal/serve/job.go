@@ -2,12 +2,11 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"sync"
 	"time"
 
 	"vibe/internal/core"
-	"vibe/internal/metrics"
+	"vibe/internal/pipeline"
 	"vibe/internal/runner"
 )
 
@@ -100,10 +99,8 @@ type Job struct {
 	notify    chan struct{}
 	artifacts map[string][]byte
 
-	// compiled at submission time
-	exps       []*core.Experiment
-	scs        []*core.Scenario
-	collectors []*metrics.Collector
+	// run is compiled at submission time; nil for cache hits.
+	run *pipeline.Run
 }
 
 func newJob(id string, req Submission) *Job {
@@ -174,7 +171,7 @@ func (j *Job) artifact(name string) ([]byte, bool) {
 
 // shareArtifacts copies the completed source job's artifact table and
 // event history into j — the cache-hit replay. Blobs are shared (they are
-// immutable once a job completes); collectors are NOT shared, so a cached
+// immutable once a job completes); the run is NOT shared, so a cached
 // job contributes nothing extra to /metrics.
 func (j *Job) shareArtifacts(src *Job) {
 	src.mu.Lock()
@@ -217,14 +214,4 @@ func progressEvent(ev runner.ProgressEvent) Event {
 		e.Error = ev.Err.Error()
 	}
 	return e
-}
-
-// cellName derives a per-cell artifact name: results.json for a single
-// scenario, results.cell<i>.json for sweep grids — mirroring the CLI's
-// cellPath convention.
-func cellName(i, n int) string {
-	if n == 1 {
-		return "results.json"
-	}
-	return fmt.Sprintf("results.cell%d.json", i)
 }

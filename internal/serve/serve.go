@@ -3,9 +3,9 @@
 // one at a time onto the shared runner pool, with live per-cell progress
 // over SSE, a Prometheus /metrics endpoint, downloadable artifacts, and a
 // provenance-keyed cache that replays completed result sets byte for
-// byte. The daemon reuses the CLIs' exact pipeline — ExpandSweeps,
-// CompileScenarios, RunGrid, results.Encode — so a set downloaded from a
-// job is byte-identical to the same scenario run with vibe-report.
+// byte. Jobs run through internal/pipeline, the CLIs' own run chain, and
+// always collect metrics, so a downloaded results.json is byte-identical
+// to the file `vibe-report -json -metrics` writes for the same plan.
 package serve
 
 import (
@@ -14,16 +14,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
-	"vibe/internal/core"
 	"vibe/internal/metrics"
-	"vibe/internal/prof"
-	"vibe/internal/provider"
+	"vibe/internal/pipeline"
 	"vibe/internal/results"
 	"vibe/internal/runner"
-	"vibe/internal/trace"
 )
 
 // Options configures a Server.
@@ -122,40 +118,34 @@ func (s *Server) Close() {
 // returns a new job that is already done, sharing the original's
 // artifacts and result bytes.
 func (s *Server) Submit(req Submission) (*Job, error) {
-	spec := req.Scenario
-	if len(req.Set) > 0 {
-		kv, err := provider.ParseSet(setPairs(req.Set))
-		if err != nil {
-			return nil, err
-		}
-		if spec.Set == nil {
-			spec.Set = map[string]string{}
-		}
-		for k, v := range kv {
-			spec.Set[k] = v
-		}
-	}
-	specs, err := core.ExpandSweeps(spec, req.Sweeps)
+	spec, err := pipeline.Override(req.Scenario, setPairs(req.Set))
 	if err != nil {
 		return nil, err
 	}
-	scs, err := core.CompileScenarios(specs, req.Quick)
+	exps, err := pipeline.Select(req.Experiments)
 	if err != nil {
 		return nil, err
 	}
-	exps := core.Experiments()
-	if len(req.Experiments) > 0 {
-		exps = exps[:0:0]
-		for _, id := range req.Experiments {
-			e, err := core.ExperimentByID(strings.ToUpper(id))
-			if err != nil {
-				return nil, err
-			}
-			exps = append(exps, e)
-		}
+	// Compile allocates the per-scenario collectors before the job is
+	// published: simSnapshot reads them under s.mu only and execute with
+	// no lock, so they must never change once the job is visible. A
+	// queued job's empty collectors merge as nothing.
+	run, err := pipeline.Compile(pipeline.Plan{
+		Spec:        spec,
+		Sweeps:      req.Sweeps,
+		Experiments: exps,
+		Quick:       req.Quick,
+		Label:       req.Label,
+		Metrics:     true,
+		Trace:       req.Trace,
+		Profile:     req.Profile,
+		SpanSample:  1,
+		Workers:     s.workers,
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	key := cacheKeyFor(req, scs, exps)
+	key := cacheKeyFor(req, run)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -173,9 +163,7 @@ func (s *Server) Submit(req Submission) (*Job, error) {
 	s.nextID++
 	j := newJob(fmt.Sprintf("job-%d", s.nextID), req)
 	j.CacheKey = key
-	j.Cells = len(exps) * len(scs)
-	j.exps = exps
-	j.scs = scs
+	j.Cells = run.Cells()
 
 	if hit {
 		src := s.jobs[srcID]
@@ -190,15 +178,7 @@ func (s *Server) Submit(req Submission) (*Job, error) {
 		return j, nil
 	}
 
-	// Allocate the per-scenario collectors before the job is published:
-	// simSnapshot reads j.collectors under s.mu only and execute reads it
-	// with no lock, so the field must never mutate once the job is
-	// visible. A queued job's empty collectors merge as nothing.
-	j.collectors = make([]*metrics.Collector, len(scs))
-	for i := range scs {
-		j.collectors[i] = metrics.NewCollector()
-	}
-
+	j.run = run
 	s.queue <- j
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
@@ -218,73 +198,42 @@ func (s *Server) execute(j *Job) {
 	j.setStatus(StatusRunning, "")
 	j.append(Event{Type: EventStart, Total: j.Cells})
 
-	workers := s.workers
-	var rec *trace.Recorder
-	if j.Req.Trace {
-		rec = &trace.Recorder{Limit: 1 << 20}
-		workers = 1 // the recorder is single-writer, like -trace-out
-	}
-	var profile *prof.Profile
-	exps := j.exps
-	if j.Req.Profile {
-		profile = prof.New()
-		exps = core.ProfiledExperiments(exps, profile)
-	}
-	for i, sc := range j.scs {
-		sc.Instr = &core.Instr{Metrics: j.collectors[i], Trace: rec, SpanSample: 1}
-	}
-
-	grid := runner.RunGrid(exps, j.scs, runner.Options{
-		Workers: workers,
-		Progress: func(ev runner.ProgressEvent) {
-			j.append(progressEvent(ev))
-		},
+	a, err := j.run.Execute(func(ev runner.ProgressEvent) {
+		j.append(progressEvent(ev))
 	})
-
-	if err := runner.FirstGridError(grid); err != nil {
+	if err != nil {
 		s.finish(j, StatusFailed, err.Error())
 		return
 	}
 
-	// Assemble per-cell result sets exactly the way vibe-report does, and
-	// encode them through results.Encode so the artifact bytes match a CLI
-	// -json file for the same scenario.
-	sets := make([]*results.Set, len(j.scs))
-	for si := range j.scs {
-		set := &results.Set{Label: j.Req.Label, Scenario: results.ProvenanceOf(j.scs[si])}
-		set.Metrics = j.collectors[si].Snapshot().Map()
-		for ei, e := range j.exps {
-			set.Experiments = append(set.Experiments, results.FromReport(e.ID, grid[si][ei].Report))
-		}
-		sets[si] = set
-	}
-	encs, err := s.store.Put(j.CacheKey, sets...)
+	// Encode through results.Encode (via the store) so the artifact bytes
+	// match the CLI's -json file for the same plan.
+	encs, err := s.store.Put(j.CacheKey, a.Sets...)
 	if err != nil {
 		s.finish(j, StatusFailed, err.Error())
 		return
 	}
 	for i, enc := range encs {
-		j.putArtifact(cellName(i, len(encs)), enc)
+		j.putArtifact(pipeline.CellName("results.json", i, len(encs)), enc)
 	}
 
 	var mtxt bytes.Buffer
-	for si, c := range j.collectors {
-		fmt.Fprintf(&mtxt, "--- metrics: %s (%d simulated systems) ---\n", j.scs[si].Label(), c.Systems())
-		c.Snapshot().Render(&mtxt)
+	for si := range a.Scenarios {
+		a.WriteMetrics(&mtxt, si)
 	}
 	j.putArtifact("metrics.txt", mtxt.Bytes())
 
-	if rec != nil {
+	if a.Trace != nil {
 		var b bytes.Buffer
-		if err := rec.WriteChrome(&b); err != nil {
+		if err := a.Trace.WriteChrome(&b); err != nil {
 			s.finish(j, StatusFailed, err.Error())
 			return
 		}
 		j.putArtifact("trace.json", b.Bytes())
 	}
-	if profile != nil {
+	if a.Profile != nil {
 		var b bytes.Buffer
-		if err := profile.WriteFolded(&b); err != nil {
+		if err := a.Profile.WriteFolded(&b); err != nil {
 			s.finish(j, StatusFailed, err.Error())
 			return
 		}
@@ -357,16 +306,18 @@ func (s *Server) daemonSnapshot() metrics.Snapshot {
 	return r.Snapshot()
 }
 
-// simSnapshot merges every job's collectors — running jobs included: the
-// collectors field is immutable once a job is published (set at submit
-// time under s.mu) and each Collector is internally mutex-guarded — into
-// the simulation-metrics families served on /metrics. Cached jobs hold no
-// collectors, so a replay never double-counts its source run.
+// simSnapshot merges every job's collectors — running jobs included: a
+// job's run and its collectors are fixed before the job is published
+// (under s.mu) and each Collector is internally mutex-guarded — into the
+// simulation-metrics families served on /metrics. Cached jobs hold no
+// run, so a replay never double-counts its source run.
 func (s *Server) simSnapshot() metrics.Snapshot {
 	s.mu.Lock()
 	var cols []*metrics.Collector
 	for _, id := range s.order {
-		cols = append(cols, s.jobs[id].collectors...)
+		if r := s.jobs[id].run; r != nil {
+			cols = append(cols, r.Collectors...)
+		}
 	}
 	s.mu.Unlock()
 	return metrics.MergedSnapshot(cols...)
@@ -377,13 +328,13 @@ func (s *Server) simSnapshot() metrics.Snapshot {
 // submission fields that alter artifact bytes — label and the
 // trace/profile switches — so a hit always replays exactly what an
 // identical submission would produce.
-func cacheKeyFor(req Submission, scs []*core.Scenario, exps []*core.Experiment) string {
-	ids := make([]string, len(exps))
-	for i, e := range exps {
+func cacheKeyFor(req Submission, run *pipeline.Run) string {
+	ids := make([]string, len(run.Plan.Experiments))
+	for i, e := range run.Plan.Experiments {
 		ids[i] = e.ID
 	}
-	provs := make([]*results.Provenance, len(scs))
-	for i, sc := range scs {
+	provs := make([]*results.Provenance, len(run.Scenarios))
+	for i, sc := range run.Scenarios {
 		provs[i] = results.ProvenanceOf(sc)
 	}
 	base := results.CacheKey(req.Quick, ids, provs...)
@@ -392,7 +343,7 @@ func cacheKeyFor(req Submission, scs []*core.Scenario, exps []*core.Experiment) 
 	return hex.EncodeToString(sum[:])
 }
 
-// setPairs renders a -set style map back into k=v pairs for ParseSet, in
+// setPairs renders a -set style map back into k=v pairs, in
 // sorted order so validation errors are deterministic.
 func setPairs(m map[string]string) []string {
 	keys := make([]string, 0, len(m))

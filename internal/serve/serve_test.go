@@ -83,8 +83,9 @@ func TestQueueBound(t *testing.T) {
 }
 
 // TestMetricsScrapeDuringRun hammers the metrics snapshot paths while a
-// job executes. Under -race this pins the contract that j.collectors is
-// allocated at submit time and never written once the job is published.
+// job executes. Under -race this pins the contract that j.run and its
+// collectors are allocated at submit time and never written once the job
+// is published.
 func TestMetricsScrapeDuringRun(t *testing.T) {
 	s := startServer(t, Options{Workers: 2})
 	j, err := s.Submit(Submission{Quick: true, Experiments: []string{"XFAILOVER"}, Label: "scrape-race"})
@@ -171,8 +172,8 @@ func TestJobLifecycleAndCache(t *testing.T) {
 	if !ok || !bytes.Equal(res1, res2) {
 		t.Error("cached artifact bytes differ from the original")
 	}
-	if j2.collectors != nil {
-		t.Error("cached job holds collectors (would double-count /metrics)")
+	if j2.run != nil {
+		t.Error("cached job holds a run and its collectors (would double-count /metrics)")
 	}
 
 	// A different label is a different design point for artifact bytes.
