@@ -88,14 +88,17 @@ bench-smoke: build
 bench-sim:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim/ ./internal/vmem/
 
-# CPU-profile one sequential full-registry pass and print the flat
-# profile. The profile and the test binary it symbolizes against stay in
-# artifacts/ for further `go tool pprof` digging.
+# CPU- and memory-profile one sequential full-registry pass and print the
+# flat CPU profile and the top allocation sites by bytes allocated. The
+# profiles and the test binary they symbolize against stay in artifacts/
+# for further `go tool pprof` digging.
 profile:
 	mkdir -p artifacts
 	$(GO) test -run '^$$' -bench '^BenchmarkRegistryFull$$' -benchtime 1x \
-	  -cpuprofile artifacts/registry.cpu.pprof -o artifacts/runner.test ./internal/runner/
+	  -cpuprofile artifacts/registry.cpu.pprof -memprofile artifacts/registry.mem.pprof \
+	  -o artifacts/runner.test ./internal/runner/
 	$(GO) tool pprof -top -nodecount 40 artifacts/runner.test artifacts/registry.cpu.pprof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 20 artifacts/runner.test artifacts/registry.mem.pprof
 
 # Smoke-run the full registry in quick mode.
 quick: build

@@ -34,3 +34,20 @@ func TestXLOSSQuickAndFullAgreeAtZeroLoss(t *testing.T) {
 		}
 	}
 }
+
+// Connection-management packets cross the same lossy fabric as data, so
+// at some run seeds the DropRate coin takes a connect request or its
+// accept. The handshake must retry through that loss rather than time
+// out; these seeds each lost one at some point of the full sweep.
+func TestXLOSSSurvivesHandshakeLoss(t *testing.T) {
+	e := ExperimentMust(t, "XLOSS")
+	for _, seed := range []int64{9, 11, 18} {
+		sc, err := NewScenario(ScenarioSpec{Run: RunOverrides{Seed: seed}}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(sc); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}

@@ -20,7 +20,10 @@ const (
 // A BufPool is NOT safe for concurrent use: it is meant to be owned by one
 // simulation engine, whose processes already run strictly one at a time.
 // Buffers returned by Get are dirty — callers must fully overwrite the
-// requested length, which the NIC gather path always does.
+// requested length, which the NIC gather path always does: it copies the
+// pieces of a fragment that lie in backed buffers and clears the pieces
+// that lie in unbacked ones. A fragment lying wholly in unbacked buffers
+// is sent without a payload and never reaches Get.
 type BufPool struct {
 	free [maxBufClass + 1][][]byte
 

@@ -14,7 +14,12 @@ type Fragment struct {
 // bytes. A zero-length message still produces one (empty) fragment, because
 // VIA permits zero-byte sends and the receiver must still consume a
 // descriptor.
-func Fragments(n, mtu int) []Fragment {
+func Fragments(n, mtu int) []Fragment { return AppendFragments(nil, n, mtu) }
+
+// AppendFragments appends the fragments Fragments(n, mtu) would return to
+// dst and returns the extended slice, so a caller that reuses dst across
+// messages splits them without allocating.
+func AppendFragments(dst []Fragment, n, mtu int) []Fragment {
 	if n < 0 {
 		panic(fmt.Sprintf("nicsim: negative message size %d", n))
 	}
@@ -22,19 +27,17 @@ func Fragments(n, mtu int) []Fragment {
 		panic(fmt.Sprintf("nicsim: non-positive MTU %d", mtu))
 	}
 	if n == 0 {
-		return []Fragment{{Offset: 0, Size: 0, Index: 0, Last: true}}
+		return append(dst, Fragment{Offset: 0, Size: 0, Index: 0, Last: true})
 	}
-	var frags []Fragment
 	for off, i := 0, 0; off < n; i++ {
 		size := mtu
 		if n-off < size {
 			size = n - off
 		}
-		frags = append(frags, Fragment{Offset: off, Size: size, Index: i})
+		dst = append(dst, Fragment{Offset: off, Size: size, Index: i, Last: off+size == n})
 		off += size
 	}
-	frags[len(frags)-1].Last = true
-	return frags
+	return dst
 }
 
 // NumFragments reports how many fragments Fragments would return, without

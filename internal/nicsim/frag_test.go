@@ -39,6 +39,31 @@ func TestFragmentsSingle(t *testing.T) {
 	}
 }
 
+// AppendFragments extends dst with exactly what Fragments returns, and a
+// caller that reuses its slice splits later messages without allocating.
+func TestAppendFragmentsReusesSlice(t *testing.T) {
+	buf := AppendFragments(nil, 10000, 1500)
+	for _, c := range []struct{ n, mtu int }{{10, 4}, {0, 1500}, {1500, 1500}, {9000, 4096}} {
+		buf = AppendFragments(buf[:0], c.n, c.mtu)
+		want := Fragments(c.n, c.mtu)
+		if len(buf) != len(want) {
+			t.Fatalf("n=%d mtu=%d: %d fragments, want %d", c.n, c.mtu, len(buf), len(want))
+		}
+		for i := range want {
+			if buf[i] != want[i] {
+				t.Errorf("n=%d mtu=%d: frag %d = %+v, want %+v", c.n, c.mtu, i, buf[i], want[i])
+			}
+		}
+	}
+	prefix := []Fragment{{Offset: 99}}
+	if got := AppendFragments(prefix, 3, 2); len(got) != 3 || got[0] != prefix[0] || !got[2].Last {
+		t.Errorf("append after a prefix: %+v", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf = AppendFragments(buf[:0], 9000, 1500) }); allocs != 0 {
+		t.Errorf("reused slice: %v allocs per split, want 0", allocs)
+	}
+}
+
 func TestFragmentsPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { Fragments(-1, 10) },

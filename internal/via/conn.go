@@ -50,6 +50,15 @@ type readState struct {
 	runs []segRun
 }
 
+// connRetry is how long ConnectRequest waits for a reply before sending
+// its request again. Connection-management packets cross the same lossy
+// fabric as data and have no retransmission window, so a lost request or
+// reply is recovered by repeating the request; the server answers a
+// repeat by repeating its reply (see connRequestArrived). The interval is
+// far above any handshake's round trip, so a run that loses no handshake
+// packet never repeats one.
+const connRetry = 100 * sim.Millisecond
+
 // ConnRequest is an inbound connection request delivered to a server's
 // ConnectWait, mirroring the (connection handle, remote attributes) pair
 // of VipConnectWait.
@@ -59,7 +68,37 @@ type ConnRequest struct {
 	clientNode  fabric.NodeID
 	clientVi    int
 	reliability ReliabilityLevel
-	handled     bool
+	taken       bool // returned by ConnectWait
+	handled     bool // accepted or rejected
+	vi          *Vi  // the accepting VI, once accepted
+}
+
+// connRequestArrived records an inbound connection request. A repeat of a
+// request already received (same client node and VI) is not queued again:
+// if it was answered, the answer is sent again, since the client repeats
+// only when no answer reached it; otherwise it is still pending and is
+// dropped.
+func (n *Nic) connRequestArrived(src fabric.NodeID, pkt *wirePacket) {
+	for _, r := range n.connReqs {
+		if r.clientNode != src || r.clientVi != pkt.srcVi {
+			continue
+		}
+		switch {
+		case r.vi != nil && r.vi.state == ViConnected:
+			n.sendCtl(&wirePacket{kind: pktConnAccept, srcVi: r.vi.id, dstVi: r.clientVi}, src)
+		case r.handled && r.vi == nil:
+			n.sendCtl(&wirePacket{kind: pktConnReject, dstVi: r.clientVi}, src)
+		}
+		return
+	}
+	n.connReqs = append(n.connReqs, &ConnRequest{
+		nic:         n,
+		disc:        pkt.disc,
+		clientNode:  src,
+		clientVi:    pkt.srcVi,
+		reliability: pkt.reliability,
+	})
+	n.connArrived.Broadcast()
 }
 
 // Discriminator returns the address discriminator the client dialed.
@@ -77,9 +116,9 @@ func (r *ConnRequest) Reliability() ReliabilityLevel { return r.reliability }
 func (n *Nic) ConnectWait(ctx *Ctx, disc string, timeout sim.Duration) (*ConnRequest, error) {
 	deadline := ctx.Now().Add(timeout)
 	for {
-		for i, r := range n.pendingConns {
-			if r.disc == disc {
-				n.pendingConns = append(n.pendingConns[:i], n.pendingConns[i+1:]...)
+		for _, r := range n.connReqs {
+			if !r.taken && r.disc == disc {
+				r.taken = true
 				return r, nil
 			}
 		}
@@ -109,6 +148,7 @@ func (r *ConnRequest) Accept(ctx *Ctx, vi *Vi) error {
 		return ErrNotSupported
 	}
 	r.handled = true
+	r.vi = vi
 	ctx.use(n.model.ConnAcceptCost)
 	vi.conn = newConnState(n.model, r.clientNode, r.clientVi)
 	vi.state = ViConnected
@@ -141,21 +181,29 @@ func (v *Vi) ConnectRequest(ctx *Ctx, remote fabric.NodeID, disc string, timeout
 	}
 	ctx.use(n.model.ConnRequestCost)
 	v.connAccepted, v.connRejected = false, false
-	n.sendCtl(&wirePacket{
-		kind:        pktConnReq,
-		srcVi:       v.id,
-		disc:        disc,
-		reliability: v.attrs.Reliability,
-	}, remote)
+	request := func() {
+		n.sendCtl(&wirePacket{
+			kind:        pktConnReq,
+			srcVi:       v.id,
+			disc:        disc,
+			reliability: v.attrs.Reliability,
+		}, remote)
+	}
+	request()
 
+	// Wait for the reply, repeating the request every connRetry.
 	deadline := ctx.Now().Add(timeout)
 	for !v.connAccepted && !v.connRejected {
 		remain := deadline.Sub(ctx.Now())
 		if remain <= 0 {
 			return ErrTimeout
 		}
-		if !v.connReply.WaitTimeout(ctx.P, remain) {
-			return ErrTimeout
+		wait := min(remain, connRetry)
+		if !v.connReply.WaitTimeout(ctx.P, wait) {
+			if wait == remain {
+				return ErrTimeout
+			}
+			request()
 		}
 	}
 	if v.connRejected {

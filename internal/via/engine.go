@@ -66,26 +66,27 @@ func (n *Nic) stallD(site fault.Site) sim.Duration {
 	return d
 }
 
-// xlateCost is the NIC-side translation cost for the given pages,
-// according to the provider's translation design.
-func (n *Nic) xlateCost(pages []uint64) sim.Duration {
+// xlateCost is the NIC-side translation cost for the pages touched by the
+// byte range [off, off+size) of runs (see eachPage), according to the
+// provider's translation design.
+func (n *Nic) xlateCost(runs []segRun, off, size int) sim.Duration {
 	m := n.model
+	var d sim.Duration
 	switch {
 	case m.TranslationAt == provider.TranslateAtHost:
-		return 0 // host already translated while posting
+		// The host already translated while posting.
 	case m.TablesAt == provider.TablesInNICMemory:
-		return sim.Duration(len(pages)) * m.XlateNICTable
+		eachPage(runs, off, size, func(uint64) { d += m.XlateNICTable })
 	default:
-		var d sim.Duration
-		for _, pg := range pages {
+		eachPage(runs, off, size, func(pg uint64) {
 			if n.tlb.Lookup(pg) {
 				d += m.XlateHit
 			} else {
 				d += m.XlateMissHostTable
 			}
-		}
-		return d
+		})
 	}
+	return d
 }
 
 // --- Send engine ---
@@ -132,7 +133,6 @@ func (sm *sendMachine) finish() (sim.Duration, int) {
 	sm.db = nil
 	sm.conn = nil
 	sm.runs = nil
-	sm.frags = nil
 	return 0, sim.StepDone
 }
 
@@ -201,7 +201,7 @@ func (sm *sendMachine) Step(pc int) (sim.Duration, int) {
 	case sDMAStallDone:
 		f := sm.frags[sm.fi]
 		sm.db.desc.span.mark(phaseDMA, sm.now()) // injected DMA stall, if any
-		sm.xd = n.xlateCost(pagesIn(sm.runs, f.Offset, f.Size))
+		sm.xd = n.xlateCost(sm.runs, f.Offset, f.Size)
 		return sm.xd, sXlateDone
 
 	case sXlateDone:
@@ -246,20 +246,21 @@ func (sm *sendMachine) processSend() (sim.Duration, int) {
 // startData begins moving a send or RDMA-write descriptor onto the wire
 // as MTU fragments, translating and DMAing each. Packet headers and
 // payload snapshots come from the system's free lists; the receive engine
-// recycles them once a packet can no longer be referenced.
+// recycles them once a packet can no longer be referenced. A fragment
+// lying wholly in unbacked buffers carries no snapshot (see emitFrag).
 func (sm *sendMachine) startData() (sim.Duration, int) {
 	n := sm.n
 	m := n.model
 	vi, d := sm.db.vi, sm.db.desc
 	sm.conn = vi.conn
-	runs, err := resolveSegs(n.host.AS, d.Segs)
+	runs, err := locateSegs(n.host.AS, d.Segs)
 	if err != nil {
 		n.completeSend(vi, d, StatusProtectionError, 0)
 		return sm.finish()
 	}
 	sm.runs = runs
 	sm.total = totalLen(runs)
-	sm.frags = nicsim.Fragments(sm.total, m.WireMTU)
+	sm.frags = nicsim.AppendFragments(sm.frags[:0], sm.total, m.WireMTU)
 	n.nextMsgID++
 	sm.msgID = n.nextMsgID
 	sm.reliable = vi.attrs.Reliability.Reliable()
@@ -270,7 +271,9 @@ func (sm *sendMachine) startData() (sim.Duration, int) {
 
 // emitFrag snapshots and transmits the current fragment, then advances
 // the fragment loop; after the last fragment it arms the retransmission
-// timer (reliable) or schedules the completion write (unreliable).
+// timer (reliable) or schedules the completion write (unreliable). A
+// fragment whose bytes all lie in unbacked buffers is all zeros and goes
+// out with a nil payload instead of a snapshot.
 func (sm *sendMachine) emitFrag() (sim.Duration, int) {
 	n := sm.n
 	m := n.model
@@ -278,8 +281,11 @@ func (sm *sendMachine) emitFrag() (sim.Duration, int) {
 	vi, d := sm.db.vi, sm.db.desc
 	conn := sm.conn
 	f := sm.frags[sm.fi]
-	data := sys.bufs.Get(f.Size)
-	gather(sm.runs, f.Offset, data)
+	var data []byte
+	if !unbacked(sm.runs, f.Offset, f.Size) {
+		data = sys.bufs.Get(f.Size)
+		gather(sm.runs, f.Offset, data)
+	}
 	pkt := sys.getPkt()
 	pkt.kind = pktData
 	pkt.srcVi = vi.id
@@ -331,7 +337,7 @@ func (sm *sendMachine) startReadRequest() (sim.Duration, int) {
 	n := sm.n
 	vi, d := sm.db.vi, sm.db.desc
 	sm.conn = vi.conn
-	runs, err := resolveSegs(n.host.AS, d.Segs)
+	runs, err := locateSegs(n.host.AS, d.Segs)
 	if err != nil {
 		n.completeSend(vi, d, StatusProtectionError, 0)
 		return sm.finish()
@@ -448,13 +454,12 @@ type recvMachine struct {
 	tailCopy sim.Duration
 	xd, dd   sim.Duration
 
-	// RDMA write state.
-	addr  vmem.Addr
-	wdata []byte
-	wrun  []segRun
+	// RDMA target: the local range an inbound RDMA write lands in, or the
+	// one a read request is served from.
+	addr   vmem.Addr
+	target [1]segRun
 
 	// RDMA read service state (responder side).
-	runs  []segRun
 	frags []nicsim.Fragment
 	fi    int
 
@@ -475,10 +480,7 @@ func (rm *recvMachine) tail() (sim.Duration, int) {
 	rm.vi = nil
 	rm.conn = nil
 	rm.rsp = nil
-	rm.wdata = nil
-	rm.wrun = nil
-	rm.runs = nil
-	rm.frags = nil
+	rm.target = [1]segRun{}
 	rm.rs = nil
 	return 0, sim.StepDone
 }
@@ -535,14 +537,7 @@ func (rm *recvMachine) Begin(del *fabric.Delivery) (sim.Duration, int) {
 	case pktErrAck:
 		return m.AckProcessing, rErrAckProcDone
 	case pktConnReq:
-		n.pendingConns = append(n.pendingConns, &ConnRequest{
-			nic:         n,
-			disc:        pkt.disc,
-			clientNode:  src,
-			clientVi:    pkt.srcVi,
-			reliability: pkt.reliability,
-		})
-		n.connArrived.Broadcast()
+		n.connRequestArrived(src, pkt)
 	case pktConnAccept:
 		if vi := n.vis[pkt.dstVi]; vi != nil && vi.state == ViIdle {
 			vi.conn = newConnState(n.model, src, pkt.srcVi)
@@ -621,12 +616,14 @@ func (rm *recvMachine) Step(pc int) (sim.Duration, int) {
 		vi := rm.vi
 		n.BusyAck += m.AckProcessing
 		n.AcksSent++
-		n.send(&wirePacket{
-			kind:   pktAck,
-			srcVi:  vi.id,
-			dstVi:  vi.conn.peerVi,
-			ackSeq: rm.ackCum,
-		}, vi.conn.peerNode)
+		// Acks carry no sequence, so the peer's receive engine recycles
+		// them; drawing them from the free list closes the loop.
+		ack := n.host.sys.getPkt()
+		ack.kind = pktAck
+		ack.srcVi = vi.id
+		ack.dstVi = vi.conn.peerVi
+		ack.ackSeq = rm.ackCum
+		n.send(ack, vi.conn.peerNode)
 		return rm.Step(rm.ackRet)
 
 	case rDone:
@@ -685,7 +682,7 @@ func (rm *recvMachine) Step(pc int) (sim.Duration, int) {
 				}
 				return rm.tail()
 			}
-			runs, err := resolveSegs(n.host.AS, d.Segs)
+			runs, err := locateSegs(n.host.AS, d.Segs)
 			if err != nil || pkt.msgTotal > totalLen(runs) {
 				st := StatusLengthError
 				if err != nil {
@@ -723,7 +720,7 @@ func (rm *recvMachine) Step(pc int) (sim.Duration, int) {
 	case rDataStallDone:
 		rm.sp.mark(phaseDMA, rm.now())
 		rm.rsp.mark(phaseReassembly, rm.now()) // inter-fragment wait + stall on the recv side
-		rm.xd = n.xlateCost(pagesIn(rm.conn.curRecvRuns, pkt.frag.Offset, pkt.frag.Size))
+		rm.xd = n.xlateCost(rm.conn.curRecvRuns, pkt.frag.Offset, pkt.frag.Size)
 		return rm.xd, rDataXlateDone
 
 	case rDataXlateDone:
@@ -738,7 +735,7 @@ func (rm *recvMachine) Step(pc int) (sim.Duration, int) {
 		rm.sp.add(phaseDMA, rm.dd, rm.now())
 		rm.rsp.add(phaseDMA, rm.dd, rm.now())
 		n.DMABytesIn += uint64(pkt.frag.Size)
-		scatter(rm.conn.curRecvRuns, pkt.frag.Offset, pkt.data)
+		scatter(rm.conn.curRecvRuns, pkt.frag.Offset, pkt.frag.Size, pkt.data)
 		if m.HostCopies {
 			// Kernel-emulated VIA (M-VIA) copies each arriving fragment
 			// from the kernel buffer to the user buffer. The copy burns
@@ -817,10 +814,9 @@ func (rm *recvMachine) step2(pc int) (sim.Duration, int) {
 		done, ok := rm.conn.rdmaReasm.Accept(pkt.msgID, pkt.frag, pkt.msgTotal)
 		rm.msgDone = done
 		if ok && pkt.frag.Size > 0 {
-			data, err := n.host.AS.Resolve(rm.addr, pkt.frag.Size)
+			buf, off, err := n.host.AS.Locate(rm.addr, pkt.frag.Size)
 			if err == nil {
-				rm.wdata = data
-				rm.wrun = []segRun{{addr: rm.addr, data: data}}
+				rm.target[0] = segRun{addr: rm.addr, buf: buf, off: off, n: pkt.frag.Size}
 				if d := n.stallD(fault.SiteDMA); d > 0 {
 					return d, rWriteStallDone
 				}
@@ -831,7 +827,7 @@ func (rm *recvMachine) step2(pc int) (sim.Duration, int) {
 
 	case rWriteStallDone:
 		rm.sp.mark(phaseDMA, rm.now())
-		rm.xd = n.xlateCost(pagesIn(rm.wrun, 0, pkt.frag.Size))
+		rm.xd = n.xlateCost(rm.target[:], 0, pkt.frag.Size)
 		return rm.xd, rWriteXlateDone
 
 	case rWriteXlateDone:
@@ -844,7 +840,7 @@ func (rm *recvMachine) step2(pc int) (sim.Duration, int) {
 		n.BusyDMA += rm.dd
 		rm.sp.add(phaseDMA, rm.dd, rm.now())
 		n.DMABytesIn += uint64(pkt.frag.Size)
-		copy(rm.wdata, pkt.data)
+		scatter(rm.target[:], 0, pkt.frag.Size, pkt.data)
 		return rm.Step(rWriteStored)
 
 	case rWriteStored:
@@ -897,12 +893,12 @@ func (rm *recvMachine) step2(pc int) (sim.Duration, int) {
 		}
 		// Stream the data back as read-response fragments on this NIC's
 		// send direction of the connection.
-		data, err := n.host.AS.Resolve(pkt.remoteAddr, pkt.msgTotal)
+		buf, off, err := n.host.AS.Locate(pkt.remoteAddr, pkt.msgTotal)
 		if err != nil {
 			return rm.tail()
 		}
-		rm.runs = []segRun{{addr: pkt.remoteAddr, data: data}}
-		rm.frags = nicsim.Fragments(pkt.msgTotal, m.WireMTU)
+		rm.target[0] = segRun{addr: pkt.remoteAddr, buf: buf, off: off, n: pkt.msgTotal}
+		rm.frags = nicsim.AppendFragments(rm.frags[:0], pkt.msgTotal, m.WireMTU)
 		rm.fi = 0
 		return m.PerFragment, rReqFragDone
 
@@ -922,7 +918,7 @@ func (rm *recvMachine) step2(pc int) (sim.Duration, int) {
 	case rReqStallDone:
 		f := rm.frags[rm.fi]
 		rm.sp.mark(phaseDMA, rm.now())
-		rm.xd = n.xlateCost(pagesIn(rm.runs, f.Offset, f.Size))
+		rm.xd = n.xlateCost(rm.target[:], f.Offset, f.Size)
 		return rm.xd, rReqXlateDone
 
 	case rReqXlateDone:
@@ -972,7 +968,7 @@ func (rm *recvMachine) step2(pc int) (sim.Duration, int) {
 
 	case rRespStallDone:
 		rm.sp.mark(phaseDMA, rm.now())
-		rm.xd = n.xlateCost(pagesIn(rm.rs.runs, pkt.frag.Offset, pkt.frag.Size))
+		rm.xd = n.xlateCost(rm.rs.runs, pkt.frag.Offset, pkt.frag.Size)
 		return rm.xd, rRespXlateDone
 
 	case rRespXlateDone:
@@ -985,7 +981,7 @@ func (rm *recvMachine) step2(pc int) (sim.Duration, int) {
 		n.BusyDMA += rm.dd
 		rm.sp.add(phaseDMA, rm.dd, rm.now())
 		n.DMABytesIn += uint64(pkt.frag.Size)
-		scatter(rm.rs.runs, pkt.frag.Offset, pkt.data)
+		scatter(rm.rs.runs, pkt.frag.Offset, pkt.frag.Size, pkt.data)
 		return rm.Step(rRespStored)
 
 	case rRespStored:
@@ -1047,15 +1043,19 @@ func (rm *recvMachine) step2(pc int) (sim.Duration, int) {
 
 // emitReadResp snapshots and transmits the current read-response
 // fragment, advancing the responder's fragment loop; after the last
-// fragment it arms the retransmission timer.
+// fragment it arms the retransmission timer. Like emitFrag, it sends a
+// nil payload for a fragment of an unbacked buffer.
 func (rm *recvMachine) emitReadResp() (sim.Duration, int) {
 	n := rm.n
 	m := n.model
 	sys := n.host.sys
 	vi, conn, pkt := rm.vi, rm.conn, rm.pkt
 	f := rm.frags[rm.fi]
-	buf := sys.bufs.Get(f.Size)
-	gather(rm.runs, f.Offset, buf)
+	var buf []byte
+	if !unbacked(rm.target[:], f.Offset, f.Size) {
+		buf = sys.bufs.Get(f.Size)
+		gather(rm.target[:], f.Offset, buf)
+	}
 	resp := sys.getPkt()
 	resp.kind = pktRdmaReadResp
 	resp.srcVi = vi.id

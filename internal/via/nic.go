@@ -28,10 +28,10 @@ type Nic struct {
 	doorbells *sim.Queue[*doorbell]
 	dbFree    []*doorbell
 
-	// Connection management state (see conn.go).
-	pendingConns []*ConnRequest
-	connArrived  *sim.Signal
-	nextConnReq  uint64
+	// Connection management state (see conn.go): every request received,
+	// in arrival order, whether still pending or already handled.
+	connReqs    []*ConnRequest
+	connArrived *sim.Signal
 
 	nextMsgID  uint64
 	nextReadID uint64

@@ -69,7 +69,7 @@ type wirePacket struct {
 	msgID    uint64
 	frag     nicsim.Fragment
 	msgTotal int
-	data     []byte // snapshot of the fragment payload
+	data     []byte // snapshot of the fragment payload; nil means frag.Size zero bytes
 
 	immediate    uint32
 	hasImmediate bool
@@ -87,7 +87,6 @@ type wirePacket struct {
 	// Connection-management fields.
 	disc        string
 	reliability ReliabilityLevel
-	reqID       uint64 // connection request id
 
 	// Span carriage: the sampled message's span, if any, and the virtual
 	// time Nic.send last put this packet on the wire (restamped on
@@ -101,7 +100,7 @@ type wirePacket struct {
 func (p *wirePacket) wireSize(ackBytes int) int {
 	switch p.kind {
 	case pktData, pktRdmaWrite, pktRdmaReadResp:
-		return dataHeaderBytes + len(p.data)
+		return dataHeaderBytes + p.frag.Size
 	case pktAck, pktErrAck:
 		return ackBytes
 	case pktRdmaReadReq:

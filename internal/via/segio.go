@@ -6,74 +6,127 @@ import (
 	"vibe/internal/vmem"
 )
 
-// segRun is one resolved data segment: its virtual address plus the
-// backing storage, so the NIC engine can DMA without re-resolving.
+// segRun is one located data segment: its virtual address and the n bytes
+// at offset off of the buffer that holds it. Locating never backs the
+// buffer; the DMA helpers below consult Backed when they move data, so a
+// write the application makes after posting is carried, and a buffer
+// nobody writes is never given storage.
 type segRun struct {
 	addr vmem.Addr
-	data []byte
+	buf  *vmem.Buffer
+	off  int
+	n    int
 }
 
-// resolveSegs maps a descriptor's data segments to backing storage. It
-// fails if any segment is unmapped, which the simulated NIC treats as a
-// fault.
-func resolveSegs(as *vmem.AddressSpace, segs []DataSegment) ([]segRun, error) {
+// locateSegs maps a descriptor's data segments to the buffers holding
+// them. It fails if any segment is unmapped, which the simulated NIC
+// treats as a fault.
+func locateSegs(as *vmem.AddressSpace, segs []DataSegment) ([]segRun, error) {
 	runs := make([]segRun, 0, len(segs))
 	for i, s := range segs {
-		data, err := as.Resolve(s.Addr, s.Length)
+		buf, off, err := as.Locate(s.Addr, s.Length)
 		if err != nil {
 			return nil, fmt.Errorf("via: segment %d: %w", i, err)
 		}
-		runs = append(runs, segRun{addr: s.Addr, data: data})
+		runs = append(runs, segRun{addr: s.Addr, buf: buf, off: off, n: s.Length})
 	}
 	return runs, nil
 }
 
-// totalLen sums the resolved run lengths.
+// totalLen sums the run lengths.
 func totalLen(runs []segRun) int {
 	n := 0
 	for _, r := range runs {
-		n += len(r.data)
+		n += r.n
 	}
 	return n
 }
 
-// gather copies n bytes starting at logical offset off (across the
-// concatenated runs) into dst. It models the NIC's gathering DMA read.
+// unbacked reports whether every byte of [off, off+n) of the concatenated
+// runs lies in a buffer with no storage, so the range reads as zeros and
+// the NIC can send it without a payload snapshot.
+func unbacked(runs []segRun, off, n int) bool {
+	all := true
+	eachPiece(runs, off, n, func(r *segRun, _, _, _ int) {
+		all = all && !r.buf.Backed()
+	})
+	return all
+}
+
+// gather copies n = len(dst) bytes starting at logical offset off (across
+// the concatenated runs) into dst. It models the NIC's gathering DMA read.
+// Pieces in unbacked buffers read as zeros; dst is cleared there, because
+// pooled payload buffers are dirty.
 func gather(runs []segRun, off int, dst []byte) {
-	copyRuns(runs, off, len(dst), func(seg []byte, dstOff int) {
-		copy(dst[dstOff:], seg)
+	eachPiece(runs, off, len(dst), func(r *segRun, runOff, take, rangeOff int) {
+		out := dst[rangeOff : rangeOff+take]
+		if !r.buf.Backed() {
+			clear(out)
+			return
+		}
+		copy(out, r.buf.Bytes()[r.off+runOff:])
 	})
 }
 
-// scatter copies src into the concatenated runs starting at logical offset
-// off. It models the NIC's scattering DMA write.
-func scatter(runs []segRun, off int, src []byte) {
-	copyRuns(runs, off, len(src), func(seg []byte, srcOff int) {
-		copy(seg, src[srcOff:srcOff+len(seg)])
+// scatter writes the n bytes of src into the concatenated runs starting
+// at logical offset off. It models the NIC's scattering DMA write. A nil
+// src is n zero bytes: backed destinations are cleared and unbacked ones
+// stay unbacked, since they already read as zeros.
+func scatter(runs []segRun, off, n int, src []byte) {
+	eachPiece(runs, off, n, func(r *segRun, runOff, take, rangeOff int) {
+		if src == nil {
+			if r.buf.Backed() {
+				clear(r.buf.Bytes()[r.off+runOff : r.off+runOff+take])
+			}
+			return
+		}
+		copy(r.buf.Bytes()[r.off+runOff:r.off+runOff+take], src[rangeOff:])
 	})
 }
 
-// copyRuns walks the byte range [off, off+n) of the concatenated runs and
-// invokes fn for each contiguous piece with its offset relative to the
-// start of the range.
-func copyRuns(runs []segRun, off, n int, fn func(piece []byte, rangeOff int)) {
+// eachPage calls fn with each virtual page number touched by the byte
+// range [off, off+n) of the concatenated runs, in access order, skipping a
+// page equal to the one just visited (where one run ends and the next
+// begins on the same page). This is what the NIC must translate to move
+// that range.
+func eachPage(runs []segRun, off, n int, fn func(page uint64)) {
+	var last uint64
+	visited := false
+	eachPiece(runs, off, n, func(r *segRun, runOff, take, _ int) {
+		first := r.addr.Advance(runOff).Page()
+		end := r.addr.Advance(runOff + take - 1).Page()
+		for p := first; p <= end; p++ {
+			if visited && p == last {
+				continue
+			}
+			fn(p)
+			last, visited = p, true
+		}
+	})
+}
+
+// eachPiece walks the byte range [off, off+n) of the concatenated runs and
+// calls fn for each contiguous piece: its run, its offset within that run,
+// its length, and its offset relative to the start of the range.
+func eachPiece(runs []segRun, off, n int, fn func(r *segRun, runOff, take, rangeOff int)) {
 	if n == 0 {
 		return
 	}
 	rangeOff := 0
-	for _, r := range runs {
+	for i := range runs {
 		if n <= 0 {
 			return
 		}
-		if off >= len(r.data) {
-			off -= len(r.data)
+		r := &runs[i]
+		if off >= r.n {
+			off -= r.n
 			continue
 		}
-		take := len(r.data) - off
+		take := r.n - off
 		if take > n {
 			take = n
 		}
-		fn(r.data[off:off+take], rangeOff)
+		fn(r, off, take, rangeOff)
 		rangeOff += take
 		n -= take
 		off = 0
@@ -81,38 +134,4 @@ func copyRuns(runs []segRun, off, n int, fn func(piece []byte, rangeOff int)) {
 	if n > 0 {
 		panic(fmt.Sprintf("via: range overruns segments by %d bytes", n))
 	}
-}
-
-// pagesIn returns the distinct virtual page numbers touched by the byte
-// range [off, off+n) of the concatenated runs, in access order. This is
-// what the NIC must translate to move that range.
-func pagesIn(runs []segRun, off, n int) []uint64 {
-	var pages []uint64
-	seen := func(p uint64) bool {
-		return len(pages) > 0 && pages[len(pages)-1] == p
-	}
-	rem := n
-	for _, r := range runs {
-		if rem <= 0 {
-			break
-		}
-		if off >= len(r.data) {
-			off -= len(r.data)
-			continue
-		}
-		take := len(r.data) - off
-		if take > rem {
-			take = rem
-		}
-		first := r.addr.Advance(off).Page()
-		last := r.addr.Advance(off + take - 1).Page()
-		for p := first; p <= last; p++ {
-			if !seen(p) {
-				pages = append(pages, p)
-			}
-		}
-		rem -= take
-		off = 0
-	}
-	return pages
 }

@@ -23,7 +23,16 @@ func newPair(t *testing.T, model *provider.Model, attrs ViAttributes,
 	server func(ctx *Ctx, vi *Vi, nic *Nic)) *pairEnv {
 
 	t.Helper()
-	sys := NewSystem(model, 2, 1)
+	return newPairProc(t, ModelActor, model, attrs, client, server)
+}
+
+// newPairProc is newPair under an explicit process model.
+func newPairProc(t *testing.T, pm ProcModel, model *provider.Model, attrs ViAttributes,
+	client func(ctx *Ctx, vi *Vi, nic *Nic),
+	server func(ctx *Ctx, vi *Vi, nic *Nic)) *pairEnv {
+
+	t.Helper()
+	sys := NewSystemProc(model, 2, 1, pm)
 	sys.Go(0, "client", func(ctx *Ctx) {
 		nic := ctx.OpenNic()
 		vi, err := nic.CreateVi(ctx, attrs, nil, nil)

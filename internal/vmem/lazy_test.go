@@ -16,11 +16,14 @@ func TestMetadataLeavesBufferUnbacked(t *testing.T) {
 	if as.Owner(b.AddrAt(7)) != b {
 		t.Fatal("Owner missed the buffer")
 	}
+	if got, off, err := as.Locate(b.AddrAt(10), 100); err != nil || got != b || off != 10 {
+		t.Fatalf("Locate = %p, %d, %v; want %p, 10, nil", got, off, err, b)
+	}
 	_ = as.Buffers()
 	if b.Len() != 3*PageSize+5 {
 		t.Fatalf("Len = %d", b.Len())
 	}
-	if b.data != nil {
+	if b.Backed() || b.data != nil {
 		t.Fatal("metadata access backed the buffer")
 	}
 }
@@ -40,9 +43,12 @@ func TestDataAccessorsBackBuffer(t *testing.T) {
 	} {
 		as := NewAddressSpace()
 		b := as.Alloc(n)
+		if b.Backed() {
+			t.Fatalf("%s: fresh buffer is backed", c.name)
+		}
 		c.use(as, b)
-		if len(b.data) != n {
-			t.Errorf("%s: backing is %d bytes, want %d", c.name, len(b.data), n)
+		if !b.Backed() || len(b.data) != n {
+			t.Errorf("%s: Backed() = %v, backing is %d bytes, want %d", c.name, b.Backed(), len(b.data), n)
 		}
 	}
 }
@@ -71,11 +77,17 @@ func TestUnbackedBufferReadsZero(t *testing.T) {
 	}
 }
 
+// Check, Locate and Resolve share one lookup: every range gets the same
+// verdict and error text from all three. Check and Locate run on an
+// address space Resolve never touches, which must stay unbacked.
 func TestCheckMatchesResolve(t *testing.T) {
 	as := NewAddressSpace()
 	a := as.Alloc(100)
 	b := as.Alloc(2 * PageSize)
 	guard := a.AddrAt(PageSize) // the page between a and b
+	resolved := NewAddressSpace()
+	resolved.Alloc(100)
+	resolved.Alloc(2 * PageSize)
 	for _, c := range []struct {
 		name string
 		addr Addr
@@ -95,12 +107,24 @@ func TestCheckMatchesResolve(t *testing.T) {
 		{"negative length", b.Addr(), -1, ErrOutOfRange},
 	} {
 		cerr := as.Check(c.addr, c.n)
-		_, rerr := as.Resolve(c.addr, c.n)
+		buf, off, lerr := as.Locate(c.addr, c.n)
+		_, rerr := resolved.Resolve(c.addr, c.n)
 		if !errors.Is(cerr, c.want) || (c.want == nil) != (cerr == nil) {
 			t.Errorf("%s: Check err = %v, want %v", c.name, cerr, c.want)
 		}
-		if (cerr == nil) != (rerr == nil) || (cerr != nil && cerr.Error() != rerr.Error()) {
-			t.Errorf("%s: Check err %v, Resolve err %v", c.name, cerr, rerr)
+		for _, e := range []struct {
+			name string
+			err  error
+		}{{"Locate", lerr}, {"Resolve", rerr}} {
+			if (cerr == nil) != (e.err == nil) || (cerr != nil && cerr.Error() != e.err.Error()) {
+				t.Errorf("%s: Check err %v, %s err %v", c.name, cerr, e.name, e.err)
+			}
 		}
+		if lerr == nil && (buf != as.Owner(c.addr) || buf.AddrAt(off) != c.addr) {
+			t.Errorf("%s: Locate = %v+%d, want the owner of %v", c.name, buf.Addr(), off, c.addr)
+		}
+	}
+	if a.Backed() || b.Backed() {
+		t.Error("Check or Locate backed a buffer")
 	}
 }

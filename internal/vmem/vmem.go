@@ -6,9 +6,13 @@
 // Storage is lazy, like demand-zero pages: a buffer gets its bytes on the
 // first data access (Bytes, Slice, Resolve, Fill, FillPattern,
 // CheckPattern) and reads as zeros until written. Everything that works on
-// addresses and lengths alone (Len, Addr, AddrAt, Owner, Check) never
-// allocates, so registering and deregistering a buffer whose data nothing
-// moves costs no host memory however large it is.
+// addresses and lengths alone (Len, Addr, AddrAt, Owner, Check, Locate,
+// Backed) never allocates, so registering and deregistering a buffer whose
+// data nothing moves costs no host memory however large it is.
+//
+// Locate and Backed let a data mover skip storage nobody has written: it
+// finds the owning buffer without backing it and, while Backed is false,
+// treats the range as zeros.
 package vmem
 
 import (
@@ -76,6 +80,10 @@ func (b *Buffer) Addr() Addr { return b.addr }
 
 // Len returns the buffer length in bytes. It does not back the buffer.
 func (b *Buffer) Len() int { return b.n }
+
+// Backed reports whether the buffer has storage yet. An unbacked buffer
+// reads as zeros.
+func (b *Buffer) Backed() bool { return b.data != nil }
 
 // Bytes returns the storage, backing the buffer if nothing has yet.
 // Mutations are visible to simulated DMA, exactly as host memory would be.
@@ -158,7 +166,7 @@ func (a Addr) Advance(n int) Addr { return Addr(uint64(a) + uint64(n)) }
 // unmapped or spans an allocation boundary, the simulated equivalent of a
 // fault during DMA.
 func (as *AddressSpace) Resolve(addr Addr, n int) ([]byte, error) {
-	b, off, err := as.lookup(addr, n)
+	b, off, err := as.Locate(addr, n)
 	if err != nil {
 		return nil, err
 	}
@@ -168,13 +176,14 @@ func (as *AddressSpace) Resolve(addr Addr, n int) ([]byte, error) {
 // Check validates [addr, addr+n) exactly as Resolve does, returning the
 // same errors, without backing the owning buffer.
 func (as *AddressSpace) Check(addr Addr, n int) error {
-	_, _, err := as.lookup(addr, n)
+	_, _, err := as.Locate(addr, n)
 	return err
 }
 
-// lookup finds the buffer holding the whole range [addr, addr+n) and the
-// offset of addr within it.
-func (as *AddressSpace) lookup(addr Addr, n int) (*Buffer, int, error) {
+// Locate finds the buffer holding the whole range [addr, addr+n) and the
+// offset of addr within it, without backing the buffer. It fails exactly
+// as Resolve and Check do.
+func (as *AddressSpace) Locate(addr Addr, n int) (*Buffer, int, error) {
 	b := as.find(addr)
 	if b == nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrBadAddress, addr)
