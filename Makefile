@@ -1,7 +1,9 @@
 # VIBe build and verification targets. `make check` is the gate every
 # change must pass: it race-checks the parallel runner and the shared
 # metrics collector in addition to the regular suite, since bugs there
-# would silently corrupt assembled reports rather than fail loudly.
+# would silently corrupt assembled reports rather than fail loudly. The
+# engine and NIC-protocol packages are raced too: their waiters and
+# retransmission-window records are reused storage.
 
 GO ?= go
 
@@ -19,7 +21,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/runner/... ./internal/metrics/... ./internal/trace/... ./internal/serve/... ./internal/pipeline/...
+	$(GO) test -race ./internal/runner/... ./internal/metrics/... ./internal/trace/... ./internal/serve/... ./internal/pipeline/... ./internal/sim/ ./internal/nicsim/
 
 # Seeded chaos soak: run CHAOS_PLANS random fault plans against the VIA
 # stack under the race detector — the crossbar soak (TestChaosSoak) plus
@@ -75,30 +77,45 @@ bench: build
 # CI bench smoke: rerun the quick bench to bench_smoke.json and fail if
 # the dispatch speedup (actor vs goroutine process model — a same-machine
 # ratio, so comparable across hosts) regressed more than 20% against the
-# committed BENCH_suite.json. Also runs the engine and vmem microbenchmarks
-# in short mode (yield, actor step, schedule, alloc, resolve) so their
-# ns/op ride along in
-# the uploaded artifact; absolute times are machine-dependent and are
+# committed BENCH_suite.json. Also runs the engine, vmem and nicsim
+# microbenchmarks in short mode (yield, actor step, schedule, alloc,
+# resolve, window add/ack) so their ns/op and allocs/op ride along in the
+# uploaded artifact; absolute times are machine-dependent and are
 # reported, not gated.
 bench-smoke: build
 	$(GO) run ./cmd/vibe-report -quick -bench bench_smoke.json -bench-gate BENCH_suite.json
-	$(GO) test -bench . -benchmem -benchtime 1000x -run '^$$' ./internal/sim/ ./internal/vmem/ | tee bench_sim.txt
+	$(GO) test -bench . -benchmem -benchtime 1000x -run '^$$' ./internal/sim/ ./internal/vmem/ ./internal/nicsim/ | tee bench_sim.txt
 
-# Microbenchmarks for the simulation engine and simulated-memory hot paths.
+# Microbenchmarks for the simulation engine, simulated-memory and NIC
+# protocol hot paths.
 bench-sim:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim/ ./internal/vmem/
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim/ ./internal/vmem/ ./internal/nicsim/
 
 # CPU- and memory-profile one sequential full-registry pass and print the
-# flat CPU profile and the top allocation sites by bytes allocated. The
-# profiles and the test binary they symbolize against stay in artifacts/
-# for further `go tool pprof` digging.
+# flat CPU profile, the flat CPU share per package, and the top allocation
+# sites by bytes and by objects allocated. The profiles and the test
+# binary they symbolize against stay in artifacts/ for further
+# `go tool pprof` digging.
+#
+# PKGSHARE sums the flat% column of `pprof -top` by package: a function
+# name's package is everything before the first dot after its last slash,
+# with receiver and type-argument brackets cut off first (they may contain
+# slashes of their own).
+PKGSHARE = awk '$$1 != "flat" && $$2 ~ /%$$/ && NF >= 6 { \
+	  name = $$6; sub(/[(\[].*/, "", name); i = match(name, /[^\/]*$$/); \
+	  j = index(substr(name, i), "."); pkg = j ? substr(name, 1, i + j - 2) : name; \
+	  v = $$2; sub(/%/, "", v); share[pkg] += v } \
+	  END { for (p in share) if (share[p] > 0) printf "%6.2f%%  %s\n", share[p], p }' | sort -rn
 profile:
 	mkdir -p artifacts
 	$(GO) test -run '^$$' -bench '^BenchmarkRegistryFull$$' -benchtime 1x \
 	  -cpuprofile artifacts/registry.cpu.pprof -memprofile artifacts/registry.mem.pprof \
 	  -o artifacts/runner.test ./internal/runner/
 	$(GO) tool pprof -top -nodecount 40 artifacts/runner.test artifacts/registry.cpu.pprof
+	@echo "flat CPU share by package:"
+	@$(GO) tool pprof -top -nodecount 0 artifacts/runner.test artifacts/registry.cpu.pprof 2>/dev/null | $(PKGSHARE)
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 20 artifacts/runner.test artifacts/registry.mem.pprof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 20 artifacts/runner.test artifacts/registry.mem.pprof
 
 # Smoke-run the full registry in quick mode.
 quick: build

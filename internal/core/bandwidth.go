@@ -54,7 +54,7 @@ func bandwidth(cfg Config, size int, o XferOpts) (XferResult, error) {
 				return err
 			}
 			if !drain {
-				return checkOK(ep.waitSend())
+				return ep.waitSend()
 			}
 			return nil
 		}
@@ -81,14 +81,16 @@ func bandwidth(cfg Config, size int, o XferOpts) (XferResult, error) {
 				if !ok {
 					break
 				}
-				if d.Status != via.StatusSuccess {
-					fail(fmt.Errorf("vibe bw: send completed with %v", d.Status))
+				st := d.Status
+				ep.descs.put(d)
+				if st != via.StatusSuccess {
+					fail(fmt.Errorf("vibe bw: send completed with %v", st))
 					return
 				}
 				outstanding--
 			}
 			for o.Window > 0 && outstanding >= o.Window {
-				if err := checkOK(ep.waitSend()); err != nil {
+				if err := ep.waitSend(); err != nil {
 					fail(err)
 					return
 				}
@@ -97,7 +99,7 @@ func bandwidth(cfg Config, size int, o XferOpts) (XferResult, error) {
 		}
 		// The clock stops when the receiver's ack lands (the paper's
 		// protocol), which covers all in-flight messages.
-		if err := checkOK(ep.waitRecv()); err != nil {
+		if err := ep.waitRecv(); err != nil {
 			fail(fmt.Errorf("vibe bw: final ack: %w", err))
 			return
 		}
@@ -126,7 +128,7 @@ func bandwidth(cfg Config, size int, o XferOpts) (XferResult, error) {
 		}
 		receiverReady = true
 		for i := 0; i < warm+total; i++ {
-			if err := checkOK(ep.waitRecv()); err != nil {
+			if err := ep.waitRecv(); err != nil {
 				fail(fmt.Errorf("vibe bw: recv %d: %w", i, err))
 				return
 			}
@@ -136,7 +138,7 @@ func bandwidth(cfg Config, size int, o XferOpts) (XferResult, error) {
 			fail(err)
 			return
 		}
-		if err := checkOK(ep.waitSend()); err != nil {
+		if err := ep.waitSend(); err != nil {
 			fail(err)
 		}
 	})

@@ -35,9 +35,38 @@ type endpoint struct {
 	cq     *via.CQ
 	send   []regBuf
 	recv   []regBuf
+	descs  *descFree
 	o      XferOpts
 	cfg    Config
 }
+
+// descFree is an endpoint's descriptor free list. A descriptor returns to
+// it once its work queue has dequeued it — the point where VIA hands it
+// back to the application — and the post paths take from it before
+// allocating, so a steady request/reply loop reuses the same few
+// descriptors and their segment arrays. Endpoint copies (the notify
+// handler's) share the list through the pointer, so no descriptor is ever
+// handed out twice.
+type descFree struct {
+	free []*via.Descriptor
+}
+
+// get returns a cleared descriptor for op, reusing a free one's segment
+// array when it can.
+func (f *descFree) get(op via.Op) *via.Descriptor {
+	n := len(f.free)
+	if n == 0 {
+		return &via.Descriptor{Op: op}
+	}
+	d := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
+	*d = via.Descriptor{Op: op, Segs: d.Segs[:0]}
+	return d
+}
+
+// put returns a dequeued descriptor to the list.
+func (f *descFree) put(d *via.Descriptor) { f.free = append(f.free, d) }
 
 // rdmaXchg carries each side's receive-pool addresses to the other for
 // RDMA transfers (the address exchange a real application would do over an
@@ -76,7 +105,7 @@ func addressSegments(pool []regBuf) []via.AddressSegment {
 // share aliases the receive pool to the send pool, matching the paper's
 // base setup where one user buffer serves as both.
 func setup(ctx *via.Ctx, cfg Config, o XferOpts, sendSize, recvSize int, share, isClient bool, peer fabric.NodeID) (*endpoint, error) {
-	ep := &endpoint{ctx: ctx, nic: ctx.OpenNic(), o: o, cfg: cfg}
+	ep := &endpoint{ctx: ctx, nic: ctx.OpenNic(), descs: &descFree{}, o: o, cfg: cfg}
 	var err error
 	if o.RecvViaCQ {
 		if ep.cq, err = ep.nic.CreateCQ(ctx, 4096); err != nil {
@@ -135,16 +164,15 @@ func setup(ctx *via.Ctx, cfg Config, o XferOpts, sendSize, recvSize int, share, 
 	return ep, nil
 }
 
-// segments splits buffer b into k contiguous data segments covering
-// exactly n bytes.
-func segments(b regBuf, n, k int) []via.DataSegment {
+// appendSegments appends to segs the split of buffer b into k contiguous
+// data segments covering exactly n bytes.
+func appendSegments(segs []via.DataSegment, b regBuf, n, k int) []via.DataSegment {
 	if n > 0 && k > n {
 		k = n
 	}
 	if k < 1 {
 		k = 1
 	}
-	segs := make([]via.DataSegment, 0, k)
 	base := n / k
 	off := 0
 	for i := 0; i < k; i++ {
@@ -161,7 +189,8 @@ func segments(b regBuf, n, k int) []via.DataSegment {
 // postRecv posts a receive descriptor sized for an n-byte message into
 // pool buffer b.
 func (ep *endpoint) postRecv(b regBuf, n int) error {
-	d := &via.Descriptor{Segs: segments(b, n, ep.o.Segments)}
+	d := ep.descs.get(via.OpSend)
+	d.Segs = appendSegments(d.Segs, b, n, ep.o.Segments)
 	return ep.vi.PostRecv(ep.ctx, d)
 }
 
@@ -169,30 +198,42 @@ func (ep *endpoint) postRecv(b regBuf, n int) error {
 // For RDMA, the write targets the peer's receive-pool buffer of the same
 // index, carrying immediate data so the peer's posted descriptor
 // completes. With no peer pool (control messages like the bandwidth ack),
-// a plain send is used even in RDMA mode.
+// a plain send is used even in RDMA mode. The write's address segment
+// points into the exchanged peer pool, which outlives every descriptor.
 func (ep *endpoint) postSend(b regBuf, n, poolIdx int, peerRecv []via.AddressSegment) error {
-	d := &via.Descriptor{Op: via.OpSend, Segs: segments(b, n, ep.o.Segments)}
+	d := ep.descs.get(via.OpSend)
+	d.Segs = appendSegments(d.Segs, b, n, ep.o.Segments)
 	if ep.o.RDMA && peerRecv != nil {
 		d.Op = via.OpRdmaWrite
-		r := peerRecv[poolIdx]
-		d.Remote = &r
+		d.Remote = &peerRecv[poolIdx]
 		d.ImmediateData = uint32(poolIdx)
 		d.HasImmediate = true
 	}
 	return ep.vi.PostSend(ep.ctx, d)
 }
 
-// waitSend completes the head send descriptor per the configured mode.
-func (ep *endpoint) waitSend() (*via.Descriptor, error) {
-	if ep.o.Mode == Blocking {
-		return ep.vi.SendWait(ep.ctx, ep.cfg.Timeout)
+// retire checks a dequeued descriptor's status and returns it to the free
+// list.
+func (ep *endpoint) retire(d *via.Descriptor, err error) error {
+	err = checkOK(d, err)
+	if d != nil {
+		ep.descs.put(d)
 	}
-	return ep.vi.SendWaitPoll(ep.ctx)
+	return err
 }
 
-// waitRecv completes the head receive descriptor per the configured mode,
-// going through the completion queue when configured.
-func (ep *endpoint) waitRecv() (*via.Descriptor, error) {
+// waitSend completes and retires the head send descriptor per the
+// configured mode.
+func (ep *endpoint) waitSend() error {
+	if ep.o.Mode == Blocking {
+		return ep.retire(ep.vi.SendWait(ep.ctx, ep.cfg.Timeout))
+	}
+	return ep.retire(ep.vi.SendWaitPoll(ep.ctx))
+}
+
+// waitRecv completes and retires the head receive descriptor per the
+// configured mode, going through the completion queue when configured.
+func (ep *endpoint) waitRecv() error {
 	if ep.o.RecvViaCQ {
 		var err error
 		if ep.o.Mode == Blocking {
@@ -201,18 +242,18 @@ func (ep *endpoint) waitRecv() (*via.Descriptor, error) {
 			_, err = ep.cq.WaitPoll(ep.ctx)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d, ok := ep.vi.RecvDone(ep.ctx)
 		if !ok {
-			return nil, fmt.Errorf("vibe: CQ entry without completed descriptor")
+			return fmt.Errorf("vibe: CQ entry without completed descriptor")
 		}
-		return d, nil
+		return ep.retire(d, nil)
 	}
 	if ep.o.Mode == Blocking {
-		return ep.vi.RecvWait(ep.ctx, ep.cfg.Timeout)
+		return ep.retire(ep.vi.RecvWait(ep.ctx, ep.cfg.Timeout))
 	}
-	return ep.vi.RecvWaitPoll(ep.ctx)
+	return ep.retire(ep.vi.RecvWaitPoll(ep.ctx))
 }
 
 func max(a, b int) int {
@@ -290,11 +331,11 @@ func roundTrip(cfg Config, reqSize, replySize int, separateBufs bool, o XferOpts
 				fail(err)
 				return
 			}
-			if err := checkOK(ep.waitSend()); err != nil {
+			if err := ep.waitSend(); err != nil {
 				fail(fmt.Errorf("client send %d: %w", i, err))
 				return
 			}
-			if err := checkOK(ep.waitRecv()); err != nil {
+			if err := ep.waitRecv(); err != nil {
 				fail(fmt.Errorf("client recv %d: %w", i, err))
 				return
 			}
@@ -330,7 +371,7 @@ func roundTrip(cfg Config, reqSize, replySize int, separateBufs bool, o XferOpts
 			return
 		}
 		for i := 0; i < total; i++ {
-			if err := checkOK(ep.waitRecv()); err != nil {
+			if err := ep.waitRecv(); err != nil {
 				fail(fmt.Errorf("server recv %d: %w", i, err))
 				return
 			}
@@ -345,7 +386,7 @@ func roundTrip(cfg Config, reqSize, replySize int, separateBufs bool, o XferOpts
 				fail(err)
 				return
 			}
-			if err := checkOK(ep.waitSend()); err != nil {
+			if err := ep.waitSend(); err != nil {
 				fail(fmt.Errorf("server send %d: %w", i, err))
 				return
 			}
@@ -367,12 +408,15 @@ func (ep *endpoint) serveNotify(total, reqSize, replySize int, x *rdmaXchg, fail
 	ep.vi.SetRecvNotify(func(hctx *via.Ctx, d *via.Descriptor) {
 		i := done
 		done++
-		if d.Status != via.StatusSuccess {
-			fail(fmt.Errorf("vibe notify: descriptor %v", d.Status))
+		st := d.Status
+		ep.descs.put(d) // dequeued by the notify dispatch
+		if st != via.StatusSuccess {
+			fail(fmt.Errorf("vibe notify: descriptor %v", st))
 			return
 		}
 		// Handlers run with their own context; redirect the endpoint's
-		// posting calls through it for this upcall.
+		// posting calls through it for this upcall. The copy shares the
+		// descriptor free list.
 		hep := *ep
 		hep.ctx = hctx
 		if i+1 < total {
@@ -386,7 +430,7 @@ func (ep *endpoint) serveNotify(total, reqSize, replySize int, x *rdmaXchg, fail
 			fail(err)
 			return
 		}
-		if err := checkOK(hep.waitSend()); err != nil {
+		if err := hep.waitSend(); err != nil {
 			fail(err)
 		}
 	})

@@ -404,3 +404,42 @@ func TestMTULadderShape(t *testing.T) {
 		t.Errorf("MTU crossing step too small: %.1f -> %.1f", at.LatencyUs, over.LatencyUs)
 	}
 }
+
+// TestNotifyHandlerSharesDescriptorList pins the descriptor-ownership rule
+// of serveNotify: each upcall works on a copy of the endpoint, and the
+// copies must draw from the one free list — a list copied by value would
+// hand the same descriptor to two concurrent handlers. Gets interleaved
+// across copies never return a descriptor that is still out, and a put
+// through either copy is visible to both.
+func TestNotifyHandlerSharesDescriptorList(t *testing.T) {
+	ep := &endpoint{descs: &descFree{}}
+	for i := 0; i < 3; i++ {
+		ep.descs.put(&via.Descriptor{})
+	}
+	h1, h2 := *ep, *ep // two concurrent upcalls
+	out := map[*via.Descriptor]bool{}
+	take := func(e *endpoint) *via.Descriptor {
+		d := e.descs.get(via.OpSend)
+		if out[d] {
+			t.Fatalf("descriptor %p handed out twice", d)
+		}
+		out[d] = true
+		return d
+	}
+	take(&h1)
+	b := take(&h2)
+	take(ep)
+	take(&h1) // the list is empty: a fresh descriptor
+	h2.descs.put(b)
+	delete(out, b)
+	if got := take(&h1); got != b {
+		t.Errorf("put through one copy not seen by the other: got %p, want %p", got, b)
+	}
+
+	// End to end: the asynchronous server under every reliability level
+	// (the reliable ones keep a handler parked on its send while the next
+	// request's handler starts) completes every round trip.
+	for _, lv := range []via.ReliabilityLevel{via.Unreliable, via.ReliableDelivery, via.ReliableReception} {
+		latAt(t, provider.CLAN(), 64, XferOpts{Notify: true, Reliability: lv})
+	}
+}

@@ -103,11 +103,9 @@ func (ep *Endpoint) send(ctx *via.Ctx, dst int, tag int32, buf *vmem.Buffer, n i
 		if chunk > maxXfer {
 			chunk = maxXfer
 		}
-		wr := &via.Descriptor{
-			Op:     via.OpRdmaWrite,
-			Segs:   []via.DataSegment{{Addr: buf.AddrAt(off), Handle: h, Length: chunk}},
-			Remote: &via.AddressSegment{Addr: cts.addr.Advance(off), Handle: cts.handle},
-		}
+		wr := p.write
+		wr.Segs[0] = via.DataSegment{Addr: buf.AddrAt(off), Handle: h, Length: chunk}
+		*wr.Remote = via.AddressSegment{Addr: cts.addr.Advance(off), Handle: cts.handle}
 		if err := p.vi.PostSend(ctx, wr); err != nil {
 			return err
 		}
@@ -192,8 +190,7 @@ func (ep *Endpoint) poll(ctx *via.Ctx, p *peer) error {
 	if d.Status != via.StatusSuccess {
 		return fmt.Errorf("mp: transport receive failed: %v", d.Status)
 	}
-	idx := p.posted[0]
-	p.posted = p.posted[1:]
+	idx := p.posted.Pop()
 	rb := p.ring[idx]
 	kind, tag, req, n := parseHeader(rb.buf.Bytes())
 
@@ -219,11 +216,10 @@ func (ep *Endpoint) poll(ctx *via.Ctx, p *peer) error {
 	// Repost the ring slot, then return credit in batches. Credit
 	// messages themselves consume the reserve slot (waitCredit keeps one
 	// in hand), so this cannot deadlock the ring.
-	bufSize := headerBytes + ep.world.cfg.EagerLimit
-	if err := p.vi.PostRecv(ctx, via.SimpleRecv(rb.buf, rb.h, bufSize)); err != nil {
+	if err := p.vi.PostRecv(ctx, rb.d); err != nil {
 		return err
 	}
-	p.posted = append(p.posted, idx)
+	p.posted.Push(idx)
 	if kind != kindCredit {
 		p.consumed++
 	}
@@ -252,10 +248,10 @@ func (ep *Endpoint) waitCredit(ctx *via.Ctx, p *peer) error {
 }
 
 // postBounce sends the staged control/eager message and waits for the
-// completion so the bounce buffer can be reused.
+// completion so the bounce buffer (and its descriptor) can be reused.
 func (ep *Endpoint) postBounce(ctx *via.Ctx, p *peer, n int) error {
-	d := &via.Descriptor{Op: via.OpSend, Segs: []via.DataSegment{{
-		Addr: p.bounce.buf.Addr(), Handle: p.bounce.h, Length: n}}}
+	d := p.bounce.d
+	d.Segs[0].Length = n
 	if err := p.vi.PostSend(ctx, d); err != nil {
 		return err
 	}

@@ -128,18 +128,24 @@ func (w *World) init(ctx *via.Ctx, rank int) (*Endpoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			pr.ring = append(pr.ring, regBuf{buf: buf, h: h})
-			if err := vi.PostRecv(ctx, via.SimpleRecv(buf, h, bufSize)); err != nil {
+			slot := regBuf{buf: buf, h: h, d: via.SimpleRecv(buf, h, bufSize)}
+			pr.ring = append(pr.ring, slot)
+			if err := vi.PostRecv(ctx, slot.d); err != nil {
 				return nil, err
 			}
-			pr.posted = append(pr.posted, i)
+			pr.posted.Push(i)
 		}
 		sendBuf := ctx.Malloc(bufSize)
 		sh, err := nic.RegisterMem(ctx, sendBuf)
 		if err != nil {
 			return nil, err
 		}
-		pr.bounce = regBuf{buf: sendBuf, h: sh}
+		pr.bounce = regBuf{buf: sendBuf, h: sh, d: via.SimpleSend(sendBuf, sh, bufSize)}
+		pr.write = &via.Descriptor{
+			Op:     via.OpRdmaWrite,
+			Segs:   make([]via.DataSegment, 1),
+			Remote: &via.AddressSegment{},
+		}
 		pr.cts = make(map[uint32]ctsInfo)
 		pr.fin = make(map[uint32]bool)
 		ep.peers[p] = pr
@@ -169,18 +175,22 @@ func (w *World) init(ctx *via.Ctx, rank int) (*Endpoint, error) {
 	return ep, nil
 }
 
-// regBuf is a registered buffer.
+// regBuf is a registered buffer with the one descriptor that covers it:
+// the descriptor is reposted every time the buffer is, once its work
+// queue has dequeued it.
 type regBuf struct {
 	buf *vmem.Buffer
 	h   via.MemHandle
+	d   *via.Descriptor
 }
 
 // peer is the per-neighbour transport state.
 type peer struct {
 	vi     *via.Vi
-	ring   []regBuf // pre-posted receive buffers
-	posted []int    // ring indices in posting order (completion order)
-	bounce regBuf   // send-side staging buffer
+	ring   []regBuf        // pre-posted receive buffers
+	posted sim.FIFO[int]   // ring indices in posting order (completion order)
+	bounce regBuf          // send-side staging buffer
+	write  *via.Descriptor // the rendezvous RDMA write, reused per chunk
 
 	credits  int // sends allowed before the remote ring might overflow
 	consumed int // remote buffers we have freed since the last credit return

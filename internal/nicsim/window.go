@@ -19,9 +19,14 @@ type Pending struct {
 // reliable VIA modes run between NICs: packets carry consecutive sequence
 // numbers per connection, the receiver returns cumulative acks, and
 // anything unacked past a timeout is retransmitted in order.
+//
+// Records are stored by value in a FIFO that rewinds whenever the window
+// drains and compacts when it never does, so a steady Add/Ack cycle
+// allocates nothing. Pointers and slices the window hands out alias that
+// storage and are valid only until the next Add.
 type Window struct {
 	nextSeq uint64
-	pending []*Pending // ordered by Seq
+	pending sim.FIFO[Pending] // ordered by Seq
 
 	// Counters.
 	Acked       uint64
@@ -31,55 +36,57 @@ type Window struct {
 // NextSeq returns the sequence number the next Add will assign.
 func (w *Window) NextSeq() uint64 { return w.nextSeq }
 
-// Add registers a newly transmitted packet and returns its record with the
-// assigned sequence number.
-func (w *Window) Add(item interface{}, at sim.Time) *Pending {
-	p := &Pending{Seq: w.nextSeq, SentAt: at, Item: item}
+// Add registers a newly transmitted packet and returns its assigned
+// sequence number. Item must not need boxing to stay allocation-free: a
+// pointer (or nil) is stored as is.
+func (w *Window) Add(item interface{}, at sim.Time) uint64 {
+	seq := w.nextSeq
 	w.nextSeq++
-	w.pending = append(w.pending, p)
-	return p
+	w.pending.Push(Pending{Seq: seq, SentAt: at, Item: item})
+	return seq
 }
 
 // Ack processes a cumulative acknowledgment: every pending packet with
-// Seq <= cumSeq is removed and returned.
-func (w *Window) Ack(cumSeq uint64) []*Pending {
-	i := 0
-	for i < len(w.pending) && w.pending[i].Seq <= cumSeq {
-		i++
+// Seq <= cumSeq is removed and returned, in sequence order. The returned
+// slice aliases the window's storage and stays valid until the next Add.
+func (w *Window) Ack(cumSeq uint64) []Pending {
+	items := w.pending.Items()
+	k := 0
+	for k < len(items) && items[k].Seq <= cumSeq {
+		k++
 	}
-	acked := w.pending[:i:i]
-	w.pending = w.pending[i:]
-	w.Acked += uint64(len(acked))
-	return acked
+	w.Acked += uint64(k)
+	return w.pending.Drop(k)
 }
 
 // Outstanding reports the number of unacked packets.
-func (w *Window) Outstanding() int { return len(w.pending) }
+func (w *Window) Outstanding() int { return w.pending.Len() }
 
-// Oldest returns the longest-unacked packet, or nil.
+// Oldest returns the longest-unacked packet, or nil. The record may be
+// updated in place until the next Add.
 func (w *Window) Oldest() *Pending {
-	if len(w.pending) == 0 {
+	if w.pending.Len() == 0 {
 		return nil
 	}
-	return w.pending[0]
+	return &w.pending.Items()[0]
 }
 
-// Unacked returns a copy of every pending packet in sequence order, for
-// go-back-N retransmission. It must not alias the window's internal slice:
-// Ack re-slices that backing array, so a caller holding the internal slice
-// could read acked entries as still pending — or corrupt window state by
-// writing through it. Hot paths that retransmit on every timeout use
-// ForEachUnacked to avoid the copy.
-func (w *Window) Unacked() []*Pending {
-	return append([]*Pending(nil), w.pending...)
+// Unacked returns a copy of every pending packet in sequence order. The
+// copy is detached from the window: writing to it, or holding it across
+// Ack and Add, cannot touch window state. Hot paths that retransmit on
+// every timeout use ForEachUnacked to avoid the copy.
+func (w *Window) Unacked() []Pending {
+	return append([]Pending(nil), w.pending.Items()...)
 }
 
 // ForEachUnacked calls fn for each pending packet in sequence order until
 // fn returns false. It is the allocation-free iteration the retransmission
-// paths use; fn must not call methods that mutate the window.
+// paths use; fn may update the record it is given (SentAt, Retries) but
+// must not call methods that add or remove records.
 func (w *Window) ForEachUnacked(fn func(*Pending) bool) {
-	for _, p := range w.pending {
-		if !fn(p) {
+	items := w.pending.Items()
+	for i := range items {
+		if !fn(&items[i]) {
 			return
 		}
 	}
@@ -89,9 +96,11 @@ func (w *Window) ForEachUnacked(fn func(*Pending) bool) {
 // instant and bumps retry counts. It returns the highest retry count, so
 // the caller can give up after a limit.
 func (w *Window) MarkResent(at sim.Time) int {
-	w.Retransmits += uint64(len(w.pending))
+	items := w.pending.Items()
+	w.Retransmits += uint64(len(items))
 	max := 0
-	for _, p := range w.pending {
+	for i := range items {
+		p := &items[i]
 		p.SentAt = at
 		p.Retries++
 		if p.Retries > max {
@@ -102,10 +111,10 @@ func (w *Window) MarkResent(at sim.Time) int {
 }
 
 // Reset drops all pending state (connection teardown).
-func (w *Window) Reset() { w.pending = nil }
+func (w *Window) Reset() { w.pending = sim.FIFO[Pending]{} }
 
 func (w *Window) String() string {
-	return fmt.Sprintf("window{next=%d outstanding=%d}", w.nextSeq, len(w.pending))
+	return fmt.Sprintf("window{next=%d outstanding=%d}", w.nextSeq, w.pending.Len())
 }
 
 // RecvSeq is the receiver half of the reliability protocol: it accepts

@@ -12,8 +12,8 @@ func TestWindowAddAck(t *testing.T) {
 	a := w.Add("a", 10)
 	b := w.Add("b", 20)
 	c := w.Add("c", 30)
-	if a.Seq != 0 || b.Seq != 1 || c.Seq != 2 {
-		t.Fatalf("seqs: %d %d %d", a.Seq, b.Seq, c.Seq)
+	if a != 0 || b != 1 || c != 2 {
+		t.Fatalf("seqs: %d %d %d", a, b, c)
 	}
 	if w.Outstanding() != 3 || w.NextSeq() != 3 {
 		t.Fatalf("outstanding=%d next=%d", w.Outstanding(), w.NextSeq())
@@ -183,8 +183,8 @@ func TestUnackedReturnsCopy(t *testing.T) {
 	snap := w.Unacked()
 
 	// Clobbering the snapshot must not reach the window.
-	snap[0] = nil
-	snap[1] = &Pending{Seq: 999}
+	snap[0] = Pending{}
+	snap[1] = Pending{Seq: 999}
 	if old := w.Oldest(); old == nil || old.Seq != 0 {
 		t.Fatalf("oldest corrupted by writing through Unacked: %v", old)
 	}
@@ -226,5 +226,94 @@ func TestForEachUnackedEarlyExit(t *testing.T) {
 	})
 	if calls != 2 {
 		t.Fatalf("calls = %d, want 2", calls)
+	}
+}
+
+// TestWindowAckValidUntilAdd pins the storage contract: the records Ack
+// returns alias the window's ring, so they must stay intact until the
+// next Add, even when the Ack drains the window and rewinds the ring.
+func TestWindowAckValidUntilAdd(t *testing.T) {
+	var w Window
+	for i := 0; i < 3; i++ {
+		w.Add(i, sim.Time(10*i))
+	}
+	acked := w.Ack(2) // drains: the ring rewinds underneath acked
+	if w.Outstanding() != 0 {
+		t.Fatalf("outstanding = %d after a full ack", w.Outstanding())
+	}
+	for i, p := range acked {
+		if p.Seq != uint64(i) || p.Item.(int) != i || p.SentAt != sim.Time(10*i) {
+			t.Fatalf("acked[%d] = %+v", i, p)
+		}
+	}
+	if w.Add("next", 99) != 3 {
+		t.Fatal("sequence numbers must keep counting across a rewind")
+	}
+	if o := w.Oldest(); o == nil || o.Seq != 3 || o.Item.(string) != "next" {
+		t.Fatalf("oldest after rewind = %+v", o)
+	}
+}
+
+// TestWindowAddAckAllocs: a warm Add/Ack cycle allocates nothing, both
+// for a window that drains every time and for one that never drains.
+func TestWindowAddAckAllocs(t *testing.T) {
+	var item int
+	for _, inFlight := range []int{0, 16} {
+		var w Window
+		for i := 0; i < inFlight; i++ {
+			w.Add(&item, 0)
+		}
+		got := testing.AllocsPerRun(1000, func() {
+			seq := w.Add(&item, 1)
+			w.Ack(seq - uint64(inFlight))
+		})
+		if got != 0 {
+			t.Errorf("in flight %d: %v allocs per Add/Ack, want 0", inFlight, got)
+		}
+		if w.Outstanding() != inFlight {
+			t.Errorf("in flight %d: window holds %d", inFlight, w.Outstanding())
+		}
+	}
+}
+
+// TestWindowNeverDrainingIsBounded: a window that always keeps packets in
+// flight never rewinds, so its ring must compact instead of growing. One
+// measured pass of 100k sends after an equal warm-up pass would have to
+// reallocate at least once if storage grew with the sequence number.
+func TestWindowNeverDrainingIsBounded(t *testing.T) {
+	var w Window
+	const inFlight = 5
+	for i := 0; i < inFlight; i++ {
+		w.Add(nil, 0)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100000; i++ {
+			seq := w.Add(nil, 0)
+			w.Ack(seq - inFlight)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("never-draining window allocated %v times in 100k sends", allocs)
+	}
+	if w.Outstanding() != inFlight || w.Oldest().Seq != w.NextSeq()-inFlight {
+		t.Fatalf("window state: outstanding=%d oldest=%+v next=%d", w.Outstanding(), w.Oldest(), w.NextSeq())
+	}
+}
+
+// BenchmarkWindowAddAck is one send and one cumulative ack against a
+// standing window of 16 packets in flight: the reliable-mode sender's
+// bookkeeping per data packet.
+func BenchmarkWindowAddAck(b *testing.B) {
+	var w Window
+	var item int
+	const inFlight = 16
+	for i := 0; i < inFlight; i++ {
+		w.Add(&item, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seq := w.Add(&item, sim.Time(i))
+		w.Ack(seq - inFlight)
 	}
 }

@@ -2,6 +2,7 @@ package provider
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,7 +77,8 @@ func (p *Param) Set(m *Model, value string) error {
 }
 
 // ParseDuration parses a virtual-time cost: a float with an optional
-// ns/us/ms/s suffix; no suffix means microseconds.
+// ns/us/ms/s suffix; no suffix means microseconds. Values that do not fit
+// a Duration (infinities, NaN, beyond about 292 years) are rejected.
 func ParseDuration(s string) (sim.Duration, error) {
 	t := strings.TrimSpace(strings.ToLower(s))
 	unit := float64(sim.Microsecond)
@@ -94,6 +96,9 @@ func ParseDuration(s string) (sim.Duration, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad duration %q (want e.g. 2us, 350ns, 1.5ms)", s)
 	}
+	if ns := v * unit; math.IsNaN(ns) || math.Abs(ns) >= math.MaxInt64 {
+		return 0, fmt.Errorf("duration %q out of range", s)
+	}
 	return sim.Duration(v * unit), nil
 }
 
@@ -105,8 +110,12 @@ func FormatDuration(d sim.Duration) string {
 
 // Builders for the common parameter kinds. Each takes an accessor
 // returning a pointer into the model, which serves as both getter and
-// setter.
+// setter. Setters check the parameter's domain before storing, so an
+// out-of-domain value is rejected when overrides are compiled — before
+// any simulation starts — and never reaches a model.
 
+// durParam is a virtual-time cost: every duration in the catalog is one,
+// so none may be negative.
 func durParam(name, doc string, f func(*Model) *sim.Duration) Param {
 	return Param{
 		Name: name, Kind: KindDuration, Unit: "us", Doc: doc,
@@ -116,6 +125,9 @@ func durParam(name, doc string, f func(*Model) *sim.Duration) Param {
 			if err != nil {
 				return err
 			}
+			if d < 0 {
+				return fmt.Errorf("cost %q out of range (must be >= 0)", v)
+			}
 			*f(m) = d
 			return nil
 		},
@@ -123,6 +135,11 @@ func durParam(name, doc string, f func(*Model) *sim.Duration) Param {
 }
 
 func intParam(name, unit, doc string, f func(*Model) *int) Param {
+	return intParamMin(name, unit, doc, math.MinInt, f)
+}
+
+// intParamMin is intParam with a lower bound.
+func intParamMin(name, unit, doc string, min int, f func(*Model) *int) Param {
 	return Param{
 		Name: name, Kind: KindInt, Unit: unit, Doc: doc,
 		get: func(m *Model) string { return strconv.Itoa(*f(m)) },
@@ -130,6 +147,9 @@ func intParam(name, unit, doc string, f func(*Model) *int) Param {
 			n, err := strconv.Atoi(strings.TrimSpace(v))
 			if err != nil {
 				return fmt.Errorf("bad integer %q", v)
+			}
+			if n < min {
+				return fmt.Errorf("%d out of range (must be >= %d)", n, min)
 			}
 			*f(m) = n
 			return nil
@@ -167,6 +187,21 @@ func floatParam(name, unit, doc string, f func(*Model) *float64) Param {
 	}
 }
 
+// rateParam is floatParam for a rate that divides: it must be positive
+// and finite.
+func rateParam(name, unit, doc string, f func(*Model) *float64) Param {
+	p := floatParam(name, unit, doc, f)
+	set := p.set
+	p.set = func(m *Model, v string) error {
+		x, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+		if err == nil && (x <= 0 || math.IsInf(x, 0) || math.IsNaN(x)) {
+			return fmt.Errorf("%q out of range (must be positive and finite)", v)
+		}
+		return set(m, v)
+	}
+	return p
+}
+
 // catalog is built once; parameter order is the Model declaration order so
 // listings read like the struct.
 var catalog = buildCatalog()
@@ -182,7 +217,7 @@ var catalogByName = func() map[string]*Param {
 func buildCatalog() []Param {
 	return []Param{
 		// Interconnect.
-		floatParam("BandwidthBps", "bits/s", "link bandwidth",
+		rateParam("BandwidthBps", "bits/s", "link bandwidth",
 			func(m *Model) *float64 { return &m.Network.BandwidthBps }),
 		durParam("LinkLatency", "one-hop propagation delay",
 			func(m *Model) *sim.Duration { return &m.Network.LinkLatency }),
@@ -320,7 +355,7 @@ func buildCatalog() []Param {
 				return nil
 			},
 		},
-		intParam("TLBCapacity", "entries", "NIC translation-cache capacity",
+		intParamMin("TLBCapacity", "entries", "NIC translation-cache capacity", 0,
 			func(m *Model) *int { return &m.TLBCapacity }),
 		{
 			Name: "TLBPolicy", Kind: KindEnum, Unit: "fifo|lru",
@@ -362,7 +397,7 @@ func buildCatalog() []Param {
 			func(m *Model) *sim.Duration { return &m.PollPerVI }),
 
 		// Wire / transport.
-		intParam("WireMTU", "bytes", "fragment payload bytes on the wire",
+		intParamMin("WireMTU", "bytes", "fragment payload bytes on the wire", 1,
 			func(m *Model) *int { return &m.WireMTU }),
 		durParam("AckProcessing", "NIC cost to create or absorb an ack",
 			func(m *Model) *sim.Duration { return &m.AckProcessing }),

@@ -212,3 +212,55 @@ func TestOverrideApplyIsIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// TestParamDomains pins the parameter domains: values that used to crash
+// a run (a zero MTU or bandwidth divides by zero, a negative cost
+// schedules into the past, a negative TLB capacity sizes a slice) are
+// rejected when overrides compile, while the edges of each domain still
+// compile.
+func TestParamDomains(t *testing.T) {
+	bad := map[string][]string{
+		"WireMTU":      {"0", "-1"},
+		"BandwidthBps": {"0", "-1", "inf", "NaN", "-inf"},
+		"TLBCapacity":  {"-5", "-1"},
+		"DoorbellCost": {"-3us", "-1ns", "inf", "nan", "1e300s"},
+	}
+	for name, values := range bad {
+		for _, v := range values {
+			if _, err := CompileOverrides(map[string]string{name: v}); err == nil {
+				t.Errorf("%s=%s compiled, want an out-of-domain error", name, v)
+			}
+		}
+	}
+	good := map[string][]string{
+		"WireMTU":      {"1", "1500"},
+		"BandwidthBps": {"1", "1.25e9"},
+		"TLBCapacity":  {"0", "64"},
+		"DoorbellCost": {"0", "0us", "2us"},
+	}
+	for name, values := range good {
+		for _, v := range values {
+			if _, err := CompileOverrides(map[string]string{name: v}); err != nil {
+				t.Errorf("%s=%s rejected: %v", name, v, err)
+			}
+		}
+	}
+	// Every duration in the catalog is a cost: all reject negatives and
+	// accept zero, and a rejected Set leaves the model untouched.
+	for _, p := range Params() {
+		if p.Kind != KindDuration {
+			continue
+		}
+		m := CLAN()
+		before := p.Get(m)
+		if err := p.Set(m, "-1ns"); err == nil {
+			t.Errorf("%s accepted a negative cost", p.Name)
+		}
+		if got := p.Get(m); got != before {
+			t.Errorf("%s: rejected Set changed the value %s -> %s", p.Name, before, got)
+		}
+		if err := p.Set(m, "0"); err != nil {
+			t.Errorf("%s rejected zero: %v", p.Name, err)
+		}
+	}
+}

@@ -387,3 +387,47 @@ func TestTraceAndProfileArtifacts(t *testing.T) {
 		t.Fatal("no profile.folded artifact")
 	}
 }
+
+// TestOutOfDomainSetRejected: a -set value outside the parameter's domain
+// (a zero wire MTU used to divide by zero inside the simulation and kill
+// the daemon) is a 400 at submission, and the daemon keeps serving.
+func TestOutOfDomainSetRejected(t *testing.T) {
+	s := startServer(t, Options{})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+
+	for _, body := range []string{
+		`{"quick": true, "experiments": ["F3"], "set": {"WireMTU": "0"}}`,
+		`{"quick": true, "experiments": ["F3"], "set": {"BandwidthBps": "-1"}}`,
+		`{"quick": true, "experiments": ["F3"], "set": {"DoorbellCost": "-3us"}}`,
+	} {
+		resp, err := http.Post(hs.URL+"/api/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s -> %d, want 400", body, resp.StatusCode)
+		}
+		if !strings.Contains(string(msg), "range") {
+			t.Errorf("%s -> %q, want the domain error", body, msg)
+		}
+	}
+	resp, err := http.Get(hs.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after rejected submissions -> %d", resp.StatusCode)
+	}
+	resp, err = http.Get(hs.URL + "/api/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("job list after rejected submissions -> %d", resp.StatusCode)
+	}
+}

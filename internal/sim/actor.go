@@ -51,14 +51,6 @@ type Machine[T any] interface {
 	Step(pc int) (Duration, int)
 }
 
-// stepper is the untyped hook continuation events dispatch through. It is
-// implemented by *service[T]; storing the interface in the event avoids
-// making the event (and the engine) generic, and converting a pointer to
-// an interface does not allocate.
-type stepper interface {
-	step(pc int)
-}
-
 // service drives a Machine from a Queue on the event loop.
 type service[T any] struct {
 	eng  *Engine
@@ -75,13 +67,13 @@ func (s *service[T]) notify() {
 		return
 	}
 	s.idle = false
-	s.eng.atStep(s.eng.now, s, pcPump)
+	s.eng.AtHandler(s.eng.now, s, pcPump)
 }
 
-// step runs one dispatched continuation: the pending machine segment,
+// Handle runs one dispatched continuation: the pending machine segment,
 // then as many whole items as complete without sleeping, then either
 // schedules the next continuation or goes idle.
-func (s *service[T]) step(pc int) {
+func (s *service[T]) Handle(pc int) {
 	var d Duration
 	next := StepDone
 	if pc != pcPump {
@@ -95,14 +87,7 @@ func (s *service[T]) step(pc int) {
 		}
 		d, next = s.m.Begin(v)
 	}
-	s.eng.atStep(s.eng.now.Add(d), s, next)
-}
-
-// atStep schedules service s to resume at state pc at instant t. It is
-// the closure-free continuation analogue of atWake.
-func (e *Engine) atStep(t Time, s stepper, pc int) {
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, svc: s, pc: pc})
+	s.eng.AtHandler(s.eng.now.Add(d), s, next)
 }
 
 // Serve binds m to the queue as an event-loop service: from now on every

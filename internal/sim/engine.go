@@ -133,21 +133,51 @@ func (e *Engine) After(d Duration, fn func()) {
 	e.At(e.now.Add(d), fn)
 }
 
+// Handler is the target of a closure-free event: AtHandler(t, h, arg)
+// calls h.Handle(arg) at instant t. The event stores the interface and
+// the argument by value, and a pointer converts to an interface without
+// allocating, so a handler that lives as long as its target (a queue
+// service, a waiting process, a VI's retransmission timer) makes
+// scheduling allocation-free where a func() closure would allocate on
+// every call.
+type Handler interface {
+	Handle(arg int)
+}
+
+// AtHandler schedules h.Handle(arg) at instant t. It takes the same
+// (time, seq) position as At(t, fn) would.
+func (e *Engine) AtHandler(t Time, h Handler, arg int) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	e.seq++
+	e.events.push(event{at: t, seq: e.seq, svc: h, pc: arg})
+}
+
+// AfterHandler schedules h.Handle(arg) d from now.
+func (e *Engine) AfterHandler(d Duration, h Handler, arg int) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	e.AtHandler(e.now.Add(d), h, arg)
+}
+
 // timer tracks a cancellable event's heap slot. i is maintained by the
 // heap's sifts; -1 means fired, cancelled, or never scheduled.
 type timer struct{ i int }
 
-// atTimer schedules fn at instant t as a cancellable event: cancelTimer
-// removes it from the heap before it fires. Timeout waits use this so an
-// abandoned deadline (the common case — most waits are woken, not timed
-// out) does not linger in the heap until its instant arrives, deepening
-// every sift and stretching the simulated run out to the last deadline.
-func (e *Engine) atTimer(t Time, fn func(), tm *timer) {
+// atTimer schedules h.Handle(arg) at instant t as a cancellable event:
+// cancelTimer removes it from the heap before it fires. Timeout waits use
+// this so an abandoned deadline (the common case — most waits are woken,
+// not timed out) does not linger in the heap until its instant arrives,
+// deepening every sift and stretching the simulated run out to the last
+// deadline.
+func (e *Engine) atTimer(t Time, h Handler, arg int, tm *timer) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling timer at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn, tm: tm})
+	e.events.push(event{at: t, seq: e.seq, svc: h, pc: arg, tm: tm})
 }
 
 // cancelTimer removes a pending timer event. Cancelling an already fired
@@ -202,9 +232,9 @@ func (e *Engine) dispatch(self *Proc, fromMain bool) bool {
 			ev.tm.i = -1 // fired: cancellation is a no-op from here on
 		}
 		if ev.svc != nil {
-			// Continuation event: the machine segment runs inline, control
-			// never leaves this goroutine (see actor.go).
-			ev.svc.step(ev.pc)
+			// Handler event (a machine continuation, a wait deadline):
+			// it runs inline, control never leaves this goroutine.
+			ev.svc.Handle(ev.pc)
 			continue
 		}
 		if ev.p != nil {

@@ -15,16 +15,21 @@ package sim
 // closure, which removes the per-yield allocation the old
 // `After(0, p.wake)` pattern paid on every blocking primitive.
 //
-// Continuation events (svc != nil) are the state-machine analogue of a
-// wake: they resume a queue-bound Machine at state pc without any
-// goroutine handoff (see actor.go). Like wakes, they are closure-free.
+// Handler events (svc != nil) call svc.Handle(pc). They are the
+// state-machine analogue of a wake — they resume a queue-bound Machine at
+// state pc without any goroutine handoff (see actor.go) — and they carry
+// wait deadlines and the VIA engines' timers. Like wakes, they are
+// closure-free.
+//
+// The struct is copied on every heap sift, so it must not grow: a new
+// kind of event should ride on svc/pc rather than add a field.
 type event struct {
 	at    Time
 	seq   uint64
 	fn    func()
 	p     *Proc
 	begin func(*Proc)
-	svc   stepper
+	svc   Handler
 	pc    int
 
 	// tm, when non-nil, makes the event cancellable: the heap keeps tm.i

@@ -15,6 +15,8 @@ type Proc struct {
 	started bool // begin event dispatched: a goroutine is executing fn
 	parked  bool // blocked with no wake event pending (see parkBlocked)
 	killed  bool // Shutdown marked it for unwinding
+
+	w waiter // reused by every Signal wait: a process waits on one at a time
 }
 
 // SetDaemon marks the process as a daemon: an engine loop that blocks
@@ -36,7 +38,9 @@ func newProc(e *Engine, name string) *Proc {
 	// resume is buffered: at most one wake token is ever outstanding per
 	// process (a process must yield before anything can wake it again), so
 	// the waking goroutine never blocks on the handoff.
-	return &Proc{eng: e, name: name, resume: make(chan struct{}, 1)}
+	p := &Proc{eng: e, name: name, resume: make(chan struct{}, 1)}
+	p.w.p = p
+	return p
 }
 
 // register adds p to the engine's process registry, compacting dead

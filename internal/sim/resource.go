@@ -9,7 +9,7 @@ import "fmt"
 type Resource struct {
 	eng    *Engine
 	busy   bool
-	queue  []*Proc
+	queue  FIFO[*Proc]
 	holder *Proc
 }
 
@@ -19,7 +19,7 @@ func NewResource(e *Engine) *Resource { return &Resource{eng: e} }
 // Acquire blocks the caller until it holds the resource.
 func (r *Resource) Acquire(p *Proc) {
 	if r.busy {
-		r.queue = append(r.queue, p)
+		r.queue.Push(p)
 		p.parkBlocked()
 		// Woken by Release, which has already transferred ownership.
 		return
@@ -33,9 +33,8 @@ func (r *Resource) Release(p *Proc) {
 	if !r.busy || r.holder != p {
 		panic(fmt.Sprintf("sim: %q releasing resource it does not hold", p.name))
 	}
-	if len(r.queue) > 0 {
-		next := r.queue[0]
-		r.queue = r.queue[1:]
+	if r.queue.Len() > 0 {
+		next := r.queue.Pop()
 		r.holder = next
 		next.scheduleWake()
 		return
@@ -55,7 +54,7 @@ func (r *Resource) Use(p *Proc, d Duration) {
 func (r *Resource) Busy() bool { return r.busy }
 
 // QueueLen reports the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return r.queue.Len() }
 
 // Pipe models a serialized transmitter without requiring the sender to be
 // a process: Occupy reserves the next free slot of length d and returns the

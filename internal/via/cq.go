@@ -17,7 +17,7 @@ type Completion struct {
 type CQ struct {
 	nic       *Nic
 	depth     int
-	entries   []Completion
+	entries   sim.FIFO[Completion] // rewinds whenever the consumer drains it
 	sig       *sim.Signal
 	destroyed bool
 
@@ -36,7 +36,7 @@ func (q *CQ) Destroy(ctx *Ctx) error {
 	}
 	ctx.use(q.nic.model.CqDestroy)
 	q.destroyed = true
-	q.entries = nil
+	q.entries = sim.FIFO[Completion]{}
 	return nil
 }
 
@@ -45,11 +45,11 @@ func (q *CQ) push(c Completion) {
 	if q.destroyed {
 		return
 	}
-	if len(q.entries) >= q.depth {
+	if q.entries.Len() >= q.depth {
 		q.Overflows++
 		return
 	}
-	q.entries = append(q.entries, c)
+	q.entries.Push(c)
 	q.sig.Broadcast()
 }
 
@@ -69,7 +69,7 @@ func (q *CQ) Done(ctx *Ctx) (Completion, bool) {
 func (q *CQ) WaitPoll(ctx *Ctx) (Completion, error) {
 	m := q.nic.model
 	for {
-		if len(q.entries) > 0 {
+		if q.entries.Len() > 0 {
 			ctx.use(m.CheckCost + m.CqCheckExtra)
 			c, _ := q.take()
 			return c, nil
@@ -88,7 +88,7 @@ func (q *CQ) Wait(ctx *Ctx, timeout sim.Duration) (Completion, error) {
 	m := q.nic.model
 	deadline := ctx.Now().Add(timeout)
 	for {
-		if len(q.entries) > 0 {
+		if q.entries.Len() > 0 {
 			ctx.use(m.CheckCost + m.CqCheckExtra)
 			c, _ := q.take()
 			return c, nil
@@ -113,7 +113,7 @@ func (q *CQ) Wait(ctx *Ctx, timeout sim.Duration) (Completion, error) {
 func (q *CQ) WaitBlockForever(ctx *Ctx) (Completion, error) {
 	m := q.nic.model
 	for {
-		if len(q.entries) > 0 {
+		if q.entries.Len() > 0 {
 			ctx.use(m.CheckCost + m.CqCheckExtra)
 			c, _ := q.take()
 			return c, nil
@@ -126,13 +126,11 @@ func (q *CQ) WaitBlockForever(ctx *Ctx) (Completion, error) {
 }
 
 func (q *CQ) take() (Completion, bool) {
-	if len(q.entries) == 0 {
+	if q.entries.Len() == 0 {
 		return Completion{}, false
 	}
-	c := q.entries[0]
-	q.entries = q.entries[1:]
-	return c, true
+	return q.entries.Pop(), true
 }
 
 // Len reports queued completions (for tests).
-func (q *CQ) Len() int { return len(q.entries) }
+func (q *CQ) Len() int { return q.entries.Len() }

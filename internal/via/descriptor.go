@@ -51,7 +51,11 @@ type AddressSegment struct {
 // Descriptor is a VIA work request: one control segment (Op, immediate
 // data, and after completion Status/Length), an optional address segment
 // for RDMA, and zero or more data segments. Descriptors are reusable:
-// posting resets the completion fields.
+// posting resets the completion fields. A posted descriptor belongs to
+// the provider until its work queue dequeues it (SendDone/RecvDone, the
+// Wait family, or a receive-notify upcall); from then on the application
+// may change it and post it again at once, along with its Segs and
+// Remote storage.
 type Descriptor struct {
 	Op     Op
 	Segs   []DataSegment

@@ -21,14 +21,34 @@ import (
 // Nothing else moved, so both drivers replay the old engines' event
 // streams byte-identically.
 
-// sendRef links an in-flight wire packet back to the descriptor it
-// belongs to. desc is non-nil only on the packet whose acknowledgment
-// completes the descriptor (the final fragment).
-type sendRef struct {
-	vi    *Vi
-	desc  *Descriptor
-	total int
-	pkt   *wirePacket
+// sendCompletion is a send descriptor seen as the target of its own
+// completion event: an unreliable send completes when the status write
+// lands, which the engine schedules as a closure-free event carrying the
+// byte count (see sim.Handler).
+type sendCompletion Descriptor
+
+func (c *sendCompletion) Handle(length int) {
+	d := (*Descriptor)(c)
+	d.vi.nic.completeSend(d.vi, d, StatusSuccess, length)
+}
+
+// recvCompletion is the receive-side analogue: a successful receive whose
+// completion waits for the host copy of its final fragment.
+type recvCompletion Descriptor
+
+func (c *recvCompletion) Handle(length int) {
+	d := (*Descriptor)(c)
+	if !d.done {
+		d.vi.recvQ.complete(d, StatusSuccess, length)
+	}
+}
+
+// rtoTimer is a VI seen as the target of its retransmission-timer event.
+type rtoTimer Vi
+
+func (t *rtoTimer) Handle(int) {
+	vi := (*Vi)(t)
+	vi.nic.rtoFire(vi)
 }
 
 // send injects a packet into the fabric and returns the instant it has
@@ -132,7 +152,7 @@ func (sm *sendMachine) finish() (sim.Duration, int) {
 	sm.n.SendsProcessed++
 	sm.db = nil
 	sm.conn = nil
-	sm.runs = nil
+	sm.runs = sm.runs[:0]
 	return 0, sim.StepDone
 }
 
@@ -253,13 +273,13 @@ func (sm *sendMachine) startData() (sim.Duration, int) {
 	m := n.model
 	vi, d := sm.db.vi, sm.db.desc
 	sm.conn = vi.conn
-	runs, err := locateSegs(n.host.AS, d.Segs)
+	var err error
+	sm.runs, err = locateSegs(sm.runs, n.host.AS, d.Segs)
 	if err != nil {
 		n.completeSend(vi, d, StatusProtectionError, 0)
 		return sm.finish()
 	}
-	sm.runs = runs
-	sm.total = totalLen(runs)
+	sm.total = totalLen(sm.runs)
 	sm.frags = nicsim.AppendFragments(sm.frags[:0], sm.total, m.WireMTU)
 	n.nextMsgID++
 	sm.msgID = n.nextMsgID
@@ -304,12 +324,10 @@ func (sm *sendMachine) emitFrag() (sim.Duration, int) {
 	}
 	pkt.span = d.span
 	if sm.reliable {
-		ref := &sendRef{vi: vi, total: sm.total, pkt: pkt}
 		if f.Last {
-			ref.desc = d
+			pkt.desc = d
 		}
-		pend := conn.window.Add(ref, sm.now())
-		pkt.seq, pkt.hasSeq = pend.Seq, true
+		pkt.seq, pkt.hasSeq = conn.window.Add(pkt, sm.now()), true
 	}
 	sm.lastTx = n.send(pkt, conn.peerNode)
 
@@ -323,11 +341,7 @@ func (sm *sendMachine) emitFrag() (sim.Duration, int) {
 	}
 	// Unreliable sends complete once the final fragment has left the
 	// adapter and the NIC has written the status back.
-	total := sm.total
-	doneAt := sm.lastTx.Add(m.CompletionWrite)
-	n.host.sys.Eng.At(doneAt, func() {
-		n.completeSend(vi, d, StatusSuccess, total)
-	})
+	n.host.sys.Eng.AtHandler(sm.lastTx.Add(m.CompletionWrite), (*sendCompletion)(d), sm.total)
 	return sm.finish()
 }
 
@@ -337,12 +351,12 @@ func (sm *sendMachine) startReadRequest() (sim.Duration, int) {
 	n := sm.n
 	vi, d := sm.db.vi, sm.db.desc
 	sm.conn = vi.conn
-	runs, err := locateSegs(n.host.AS, d.Segs)
+	var err error
+	sm.runs, err = locateSegs(sm.runs, n.host.AS, d.Segs)
 	if err != nil {
 		n.completeSend(vi, d, StatusProtectionError, 0)
 		return sm.finish()
 	}
-	sm.runs = runs
 	return n.model.PerFragment, sReadFragDone
 }
 
@@ -356,7 +370,9 @@ func (sm *sendMachine) readRequestOut() (sim.Duration, int) {
 	n.FragsSent++
 	n.nextReadID++
 	id := n.nextReadID
-	conn.outstandingReads[id] = &readState{desc: d, runs: sm.runs}
+	// The send machine reuses its run slice for the next doorbell; the
+	// read keeps its own copy until the responses land.
+	conn.outstandingReads[id] = &readState{desc: d, runs: append([]segRun(nil), sm.runs...)}
 	pkt := &wirePacket{
 		kind:         pktRdmaReadReq,
 		srcVi:        vi.id,
@@ -367,8 +383,7 @@ func (sm *sendMachine) readRequestOut() (sim.Duration, int) {
 		remoteHandle: d.Remote.Handle,
 		span:         d.span,
 	}
-	pend := conn.window.Add(&sendRef{vi: vi, pkt: pkt}, sm.now())
-	pkt.seq, pkt.hasSeq = pend.Seq, true
+	pkt.seq, pkt.hasSeq = conn.window.Add(pkt, sm.now()), true
 	n.send(pkt, conn.peerNode)
 	n.armRTO(vi)
 	return sm.finish()
@@ -682,13 +697,14 @@ func (rm *recvMachine) Step(pc int) (sim.Duration, int) {
 				}
 				return rm.tail()
 			}
-			runs, err := locateSegs(n.host.AS, d.Segs)
+			runs, err := locateSegs(conn.curRecvRuns, n.host.AS, d.Segs)
 			if err != nil || pkt.msgTotal > totalLen(runs) {
+				conn.curRecvRuns = runs[:0] // keep the storage for the next message
 				st := StatusLengthError
 				if err != nil {
 					st = StatusProtectionError
 				}
-				n.finishRecv(vi, d, st, pkt.msgTotal, 0)
+				n.finishRecv(vi, d, st, pkt.msgTotal)
 				conn.dropping = true
 				conn.dropMsgID = pkt.msgID
 				if pkt.frag.Last {
@@ -757,11 +773,15 @@ func (rm *recvMachine) Step(pc int) (sim.Duration, int) {
 		vi, conn := rm.vi, rm.conn
 		if rm.msgDone {
 			d := conn.curRecv
-			conn.curRecv, conn.curRecvRuns = nil, nil
+			conn.curRecv, conn.curRecvRuns = nil, conn.curRecvRuns[:0]
 			if pkt.hasImmediate {
 				d.Immediate, d.GotImmediate = pkt.immediate, true
 			}
-			n.finishRecv(vi, d, StatusSuccess, pkt.msgTotal, rm.tailCopy)
+			if rm.tailCopy > 0 {
+				n.host.sys.Eng.AfterHandler(rm.tailCopy, (*recvCompletion)(d), pkt.msgTotal)
+			} else {
+				n.finishRecv(vi, d, StatusSuccess, pkt.msgTotal)
+			}
 		}
 		return rm.tail()
 	}
@@ -862,7 +882,7 @@ func (rm *recvMachine) step2(pc int) (sim.Duration, int) {
 				return rm.tail()
 			}
 			d.Immediate, d.GotImmediate = pkt.immediate, true
-			n.finishRecv(vi, d, StatusSuccess, pkt.msgTotal, 0)
+			n.finishRecv(vi, d, StatusSuccess, pkt.msgTotal)
 		}
 		return rm.tail()
 
@@ -999,16 +1019,15 @@ func (rm *recvMachine) step2(pc int) (sim.Duration, int) {
 		if !rm.lookup() {
 			return rm.tail()
 		}
-		conn := rm.conn
+		vi, conn := rm.vi, rm.conn
 		for _, pend := range conn.window.Ack(pkt.ackSeq) {
 			// Karn's algorithm: only never-retransmitted packets yield RTT
 			// samples, so a retransmission's ack cannot be mis-attributed.
 			if conn.rto.Adaptive && pend.Retries == 0 {
 				conn.rto.Sample(rm.now().Sub(pend.SentAt))
 			}
-			ref := pend.Item.(*sendRef)
-			if ref.desc != nil {
-				n.completeSend(ref.vi, ref.desc, StatusSuccess, ref.total)
+			if sent := pend.Item.(*wirePacket); sent.desc != nil {
+				n.completeSend(vi, sent.desc, StatusSuccess, sent.msgTotal)
 			}
 		}
 		return rm.tail()
@@ -1026,9 +1045,9 @@ func (rm *recvMachine) step2(pc int) (sim.Duration, int) {
 			}
 		} else {
 			conn.window.ForEachUnacked(func(pend *nicsim.Pending) bool {
-				ref := pend.Item.(*sendRef)
-				if ref.desc != nil && ref.pkt.msgID == pkt.errMsg {
-					n.completeSend(vi, ref.desc, pkt.errSts, 0)
+				sent := pend.Item.(*wirePacket)
+				if sent.desc != nil && sent.msgID == pkt.errMsg {
+					n.completeSend(vi, sent.desc, pkt.errSts, 0)
 				}
 				return true
 			})
@@ -1065,8 +1084,7 @@ func (rm *recvMachine) emitReadResp() (sim.Duration, int) {
 	resp.msgTotal = pkt.msgTotal
 	resp.data = buf
 	resp.span = rm.sp // the requester's span rides back on the response
-	pend := conn.window.Add(&sendRef{vi: vi, pkt: resp}, rm.now())
-	resp.seq, resp.hasSeq = pend.Seq, true
+	resp.seq, resp.hasSeq = conn.window.Add(resp, rm.now()), true
 	n.send(resp, conn.peerNode)
 
 	rm.fi++
@@ -1087,17 +1105,10 @@ func (n *Nic) lookupVi(src fabric.NodeID, pkt *wirePacket) *Vi {
 	return vi
 }
 
-// finishRecv completes a receive descriptor, optionally delayed (the
-// kernel copy of the final fragment on host-copy providers).
-func (n *Nic) finishRecv(vi *Vi, d *Descriptor, st Status, length int, delay sim.Duration) {
-	if delay > 0 {
-		n.host.sys.Eng.After(delay, func() {
-			if !d.done {
-				vi.recvQ.complete(d, st, length)
-			}
-		})
-		return
-	}
+// finishRecv completes a receive descriptor now. A successful receive
+// whose final fragment still needs the kernel copy on host-copy providers
+// completes later instead, through recvCompletion.
+func (n *Nic) finishRecv(vi *Vi, d *Descriptor, st Status, length int) {
 	if !d.done {
 		vi.recvQ.complete(d, st, length)
 	}
@@ -1113,9 +1124,8 @@ func (n *Nic) failConn(vi *Vi) {
 	}
 	conn := vi.conn
 	conn.window.ForEachUnacked(func(pend *nicsim.Pending) bool {
-		ref := pend.Item.(*sendRef)
-		if ref.desc != nil {
-			n.completeSend(vi, ref.desc, StatusTransportError, 0)
+		if sent := pend.Item.(*wirePacket); sent.desc != nil {
+			n.completeSend(vi, sent.desc, StatusTransportError, 0)
 		}
 		return true
 	})
@@ -1147,7 +1157,7 @@ func (n *Nic) armRTOAfter(vi *Vi, d sim.Duration) {
 		return
 	}
 	conn.rtoArmed = true
-	n.host.sys.Eng.After(d, func() { n.rtoFire(vi) })
+	n.host.sys.Eng.AfterHandler(d, (*rtoTimer)(vi), 0)
 }
 
 func (n *Nic) rtoFire(vi *Vi) {
@@ -1165,7 +1175,7 @@ func (n *Nic) rtoFire(vi *Vi) {
 		// Acks have been flowing; check again when the oldest packet
 		// actually times out.
 		conn.rtoArmed = true
-		eng.After(conn.rto.Timeout()-age, func() { n.rtoFire(vi) })
+		eng.AfterHandler(conn.rto.Timeout()-age, (*rtoTimer)(vi), 0)
 		return
 	}
 	// Give up only after MaxRetries consecutive timeouts with no forward
@@ -1189,8 +1199,7 @@ func (n *Nic) rtoFire(vi *Vi) {
 		pend.SentAt = eng.Now()
 		pend.Retries++
 		conn.window.Retransmits++
-		ref := pend.Item.(*sendRef)
-		n.send(ref.pkt, conn.peerNode)
+		n.send(pend.Item.(*wirePacket), conn.peerNode)
 		resent++
 		return true
 	})

@@ -71,6 +71,11 @@ type wirePacket struct {
 	msgTotal int
 	data     []byte // snapshot of the fragment payload; nil means frag.Size zero bytes
 
+	// desc is the send descriptor this packet's acknowledgment completes:
+	// set on the final fragment of a reliable send, nil otherwise. The
+	// packet itself is the sender's retransmission-window record.
+	desc *Descriptor
+
 	immediate    uint32
 	hasImmediate bool
 

@@ -19,14 +19,16 @@ type segRun struct {
 }
 
 // locateSegs maps a descriptor's data segments to the buffers holding
-// them. It fails if any segment is unmapped, which the simulated NIC
-// treats as a fault.
-func locateSegs(as *vmem.AddressSpace, segs []DataSegment) ([]segRun, error) {
-	runs := make([]segRun, 0, len(segs))
+// them, reusing the storage of dst (whose contents it discards): each
+// engine keeps one run slice and locates every message into it. It fails
+// if any segment is unmapped, which the simulated NIC treats as a fault;
+// the runs returned with an error are empty.
+func locateSegs(dst []segRun, as *vmem.AddressSpace, segs []DataSegment) ([]segRun, error) {
+	runs := dst[:0]
 	for i, s := range segs {
 		buf, off, err := as.Locate(s.Addr, s.Length)
 		if err != nil {
-			return nil, fmt.Errorf("via: segment %d: %w", i, err)
+			return runs[:0], fmt.Errorf("via: segment %d: %w", i, err)
 		}
 		runs = append(runs, segRun{addr: s.Addr, buf: buf, off: off, n: s.Length})
 	}

@@ -68,11 +68,12 @@ type workQueue struct {
 	isRecv bool
 	cq     *CQ
 
-	// pending holds posted descriptors not yet dequeued. consumeIdx is
-	// the engine's cursor: the next descriptor to be consumed by an
-	// incoming message (receive queues only).
-	pending    []*Descriptor
-	consumeIdx int
+	// pending holds posted descriptors not yet dequeued, oldest first;
+	// it rewinds whenever the application drains it. consumed counts the
+	// descriptors at its front already claimed by incoming messages
+	// (receive queues only): the engine's cursor.
+	pending  sim.FIFO[*Descriptor]
+	consumed int
 
 	sig *sim.Signal // broadcast on every completion
 }
@@ -88,16 +89,17 @@ func (wq *workQueue) post(d *Descriptor) {
 	d.GotImmediate = false
 	d.vi = wq.vi
 	d.span = nil
-	wq.pending = append(wq.pending, d)
+	wq.pending.Push(d)
 }
 
 // consume hands the engine the next unconsumed receive descriptor.
 func (wq *workQueue) consume() *Descriptor {
-	if wq.consumeIdx >= len(wq.pending) {
+	items := wq.pending.Items()
+	if wq.consumed >= len(items) {
 		return nil
 	}
-	d := wq.pending[wq.consumeIdx]
-	wq.consumeIdx++
+	d := items[wq.consumed]
+	wq.consumed++
 	return d
 }
 
@@ -144,26 +146,30 @@ func (wq *workQueue) dispatchNotify() {
 	})
 }
 
-// takeHead dequeues the head descriptor if it has completed.
+// headDone reports whether the head descriptor has completed.
+func (wq *workQueue) headDone() bool {
+	return wq.pending.Len() > 0 && wq.pending.Items()[0].done
+}
+
+// takeHead dequeues the head descriptor if it has completed. From then
+// on the descriptor belongs to the application again, which may repost
+// it.
 func (wq *workQueue) takeHead() (*Descriptor, bool) {
-	if len(wq.pending) == 0 || !wq.pending[0].done {
+	if !wq.headDone() {
 		return nil, false
 	}
-	d := wq.pending[0]
-	wq.pending[0] = nil
-	wq.pending = wq.pending[1:]
-	if wq.consumeIdx > 0 {
-		wq.consumeIdx--
+	if wq.consumed > 0 {
+		wq.consumed--
 	}
-	return d, true
+	return wq.pending.Pop(), true
 }
 
 // Depth reports posted-but-not-dequeued descriptors (for tests).
-func (wq *workQueue) depth() int { return len(wq.pending) }
+func (wq *workQueue) depth() int { return wq.pending.Len() }
 
 // flush completes every pending descriptor with the given status.
 func (wq *workQueue) flush(st Status) {
-	for _, d := range wq.pending {
+	for _, d := range wq.pending.Items() {
 		if !d.done {
 			d.Status = st
 			d.done = true
@@ -368,12 +374,12 @@ func (v *Vi) waitPoll(ctx *Ctx, wq *workQueue) (*Descriptor, error) {
 	// The check cost is paid at detection (see CQ.WaitPoll): it is the
 	// reaction time of the polling loop once the completion lands.
 	for {
-		if len(wq.pending) > 0 && wq.pending[0].done {
+		if wq.headDone() {
 			ctx.use(v.nic.model.CheckCost)
 			d, _ := wq.takeHead()
 			return d, nil
 		}
-		if len(wq.pending) == 0 {
+		if wq.pending.Len() == 0 {
 			return nil, ErrInvalidState
 		}
 		ctx.Host.CPU.SpinWait(ctx.P, wq.sig)
@@ -384,12 +390,12 @@ func (v *Vi) waitBlock(ctx *Ctx, wq *workQueue, timeout sim.Duration) (*Descript
 	m := v.nic.model
 	deadline := ctx.Now().Add(timeout)
 	for {
-		if len(wq.pending) > 0 && wq.pending[0].done {
+		if wq.headDone() {
 			ctx.use(m.CheckCost)
 			d, _ := wq.takeHead()
 			return d, nil
 		}
-		if len(wq.pending) == 0 {
+		if wq.pending.Len() == 0 {
 			return nil, ErrInvalidState
 		}
 		remain := deadline.Sub(ctx.Now())
