@@ -7,12 +7,16 @@
 
 GO ?= go
 
-.PHONY: all build vet test race chaos failover-smoke vibed-smoke check cover bench bench-smoke bench-sim profile quick clean
+.PHONY: all build fmt vet test race chaos failover-smoke vibed-smoke check cover bench bench-smoke bench-sim profile quick clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Fails listing the files gofmt would rewrite.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -61,7 +65,7 @@ vibed-smoke: build
 	VIBED_SMOKE_ARTIFACTS=$(CURDIR)/artifacts \
 	  $(GO) test -run TestVibedSmoke -count=1 -v ./internal/serve/
 
-check: vet build test race
+check: fmt vet build test race
 
 # Coverage over every package, with the per-package summary printed and
 # the profile left in cover.out for `go tool cover -html=cover.out`.

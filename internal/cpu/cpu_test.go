@@ -139,8 +139,8 @@ func TestWaitAttribution(t *testing.T) {
 	c := New(e)
 	s := sim.NewSignal(e)
 	e.Spawn("p", func(p *sim.Proc) {
-		c.Use(p, 100)       // compute: busy, neither spin nor wake
-		c.SpinWait(p, s)    // 200ns of spinning
+		c.Use(p, 100)        // compute: busy, neither spin nor wake
+		c.SpinWait(p, s)     // 200ns of spinning
 		c.BlockWait(p, s, 7) // idle, then 7ns wake cost
 	})
 	e.Spawn("sig", func(p *sim.Proc) {

@@ -22,6 +22,14 @@ import (
 // NodeID identifies a host attached to the fabric.
 type NodeID int
 
+// Trace event names: a link's transmits and receives, and a switch's
+// forwarding spans.
+var (
+	traceTx  = sim.NewTraceName("tx dst=% %B")
+	traceRx  = sim.NewTraceName("rx src=% %B")
+	traceFwd = sim.NewTraceName("fwd dst=% %B hop=%/%")
+)
+
 // Params describes the physical characteristics of a network. All three of
 // the paper's interconnects (Myrinet, Gigabit Ethernet, Giganet cLAN) are
 // instances of this shape with different constants.
@@ -615,10 +623,10 @@ func (nw *Network) Send(src, dst NodeID, size int, payload interface{}) sim.Time
 	d := nw.getDelivery()
 	d.Src, d.Dst, d.Size, d.Payload = src, dst, size, payload
 
-	// Tracing() guard: argument materialization must stay off the
-	// uninstrumented hot path, and emission never touches virtual time.
+	// Tracing never touches virtual time.
 	if nw.eng.Tracing() {
-		nw.eng.Tracef("link%d: tx dst=%d %dB", src, dst, size)
+		nw.eng.Trace(sim.TraceEvent{At: nw.eng.Now(), Comp: sim.TraceLink, ID: int32(src), Name: traceTx,
+			Args: [6]int64{int64(dst), int64(size)}})
 	}
 
 	// Fault chain first: an injected drop models a deliberate outage and
@@ -741,8 +749,8 @@ func (nw *Network) sendRouted(sp *port, d *Delivery, ser, delay sim.Duration, co
 			if nw.eng.Tracing() {
 				// The forward span covers the hop's serialization window
 				// [out-ser, out), placed on the switch's own track.
-				nw.eng.TraceSpanf(out.Add(-ser), ser, "switch%d: fwd dst=%d %dB hop=%d/%d",
-					route[i], d.Dst, d.Size, i+1, hops)
+				nw.eng.Trace(sim.TraceEvent{At: out.Add(-ser), Dur: ser, Comp: sim.TraceSwitch, ID: int32(route[i]),
+					Name: traceFwd, Args: [6]int64{int64(d.Dst), int64(d.Size), int64(i + 1), int64(hops)}})
 			}
 			if heldQ != nil {
 				heldQ.release(heldSlot, out)
@@ -885,7 +893,8 @@ func (nw *Network) deliverNow(p *port, d *Delivery) {
 	p.rxPkts++
 	p.rxBytes += uint64(d.Size)
 	if nw.eng.Tracing() {
-		nw.eng.Tracef("link%d: rx src=%d %dB", d.Dst, d.Src, d.Size)
+		nw.eng.Trace(sim.TraceEvent{At: nw.eng.Now(), Comp: sim.TraceLink, ID: int32(d.Dst), Name: traceRx,
+			Args: [6]int64{int64(d.Src), int64(d.Size)}})
 	}
 	if d.Corrupted {
 		p.rxCorrupt++

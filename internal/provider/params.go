@@ -134,12 +134,9 @@ func durParam(name, doc string, f func(*Model) *sim.Duration) Param {
 	}
 }
 
-func intParam(name, unit, doc string, f func(*Model) *int) Param {
-	return intParamMin(name, unit, doc, math.MinInt, f)
-}
-
-// intParamMin is intParam with a lower bound.
-func intParamMin(name, unit, doc string, min int, f func(*Model) *int) Param {
+// intParam is an integer of at least min: every count, size and capacity
+// in the catalog has a floor.
+func intParam(name, unit, doc string, min int, f func(*Model) *int) Param {
 	return Param{
 		Name: name, Kind: KindInt, Unit: unit, Doc: doc,
 		get: func(m *Model) string { return strconv.Itoa(*f(m)) },
@@ -172,7 +169,10 @@ func boolParam(name, doc string, f func(*Model) *bool) Param {
 	}
 }
 
-func floatParam(name, unit, doc string, f func(*Model) *float64) Param {
+// floatParam is a float for which in holds; domain describes that set in
+// the error message. NaN fails every ordered comparison, so a domain
+// written as bounds excludes it.
+func floatParam(name, unit, doc, domain string, in func(float64) bool, f func(*Model) *float64) Param {
 	return Param{
 		Name: name, Kind: KindFloat, Unit: unit, Doc: doc,
 		get: func(m *Model) string { return strconv.FormatFloat(*f(m), 'g', -1, 64) },
@@ -181,25 +181,13 @@ func floatParam(name, unit, doc string, f func(*Model) *float64) Param {
 			if err != nil {
 				return fmt.Errorf("bad float %q", v)
 			}
+			if !in(x) {
+				return fmt.Errorf("%q out of range (must be %s)", v, domain)
+			}
 			*f(m) = x
 			return nil
 		},
 	}
-}
-
-// rateParam is floatParam for a rate that divides: it must be positive
-// and finite.
-func rateParam(name, unit, doc string, f func(*Model) *float64) Param {
-	p := floatParam(name, unit, doc, f)
-	set := p.set
-	p.set = func(m *Model, v string) error {
-		x, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-		if err == nil && (x <= 0 || math.IsInf(x, 0) || math.IsNaN(x)) {
-			return fmt.Errorf("%q out of range (must be positive and finite)", v)
-		}
-		return set(m, v)
-	}
-	return p
 }
 
 // catalog is built once; parameter order is the Model declaration order so
@@ -217,15 +205,17 @@ var catalogByName = func() map[string]*Param {
 func buildCatalog() []Param {
 	return []Param{
 		// Interconnect.
-		rateParam("BandwidthBps", "bits/s", "link bandwidth",
+		floatParam("BandwidthBps", "bits/s", "link bandwidth", "positive and finite",
+			func(x float64) bool { return x > 0 && x <= math.MaxFloat64 },
 			func(m *Model) *float64 { return &m.Network.BandwidthBps }),
 		durParam("LinkLatency", "one-hop propagation delay",
 			func(m *Model) *sim.Duration { return &m.Network.LinkLatency }),
 		durParam("SwitchLatency", "switch forwarding delay",
 			func(m *Model) *sim.Duration { return &m.Network.SwitchLatency }),
-		intParam("FrameOverhead", "bytes", "per-packet wire framing",
+		intParam("FrameOverhead", "bytes", "per-packet wire framing", 0,
 			func(m *Model) *int { return &m.Network.FrameOverhead }),
-		floatParam("DropRate", "probability", "per-packet loss probability",
+		floatParam("DropRate", "probability", "per-packet loss probability", "in [0, 1]",
+			func(x float64) bool { return x >= 0 && x <= 1 },
 			func(m *Model) *float64 { return &m.Network.DropRate }),
 		{
 			Name: "NetTopology", Kind: KindEnum,
@@ -248,9 +238,9 @@ func buildCatalog() []Param {
 				return fmt.Errorf("bad topology %q (%s)", v, strings.Join(fabric.TopologyNames(), "|"))
 			},
 		},
-		intParam("NetTopoDegree", "hosts/switch", "host-attachment arity of routed topologies (0 = topology default)",
+		intParam("NetTopoDegree", "hosts/switch", "host-attachment arity of routed topologies (0 = topology default)", 0,
 			func(m *Model) *int { return &m.Network.TopologyDegree }),
-		intParam("NetSwitchBufPkts", "packets", "per-output-port switch buffer bound; 0 = unbounded (full queues withhold credit upstream)",
+		intParam("NetSwitchBufPkts", "packets", "per-output-port switch buffer bound; 0 = unbounded (full queues withhold credit upstream)", 0,
 			func(m *Model) *int { return &m.Network.SwitchBufPkts }),
 		{
 			Name: "NetRoutePolicy", Kind: KindEnum,
@@ -355,7 +345,7 @@ func buildCatalog() []Param {
 				return nil
 			},
 		},
-		intParamMin("TLBCapacity", "entries", "NIC translation-cache capacity", 0,
+		intParam("TLBCapacity", "entries", "NIC translation-cache capacity", 0,
 			func(m *Model) *int { return &m.TLBCapacity }),
 		{
 			Name: "TLBPolicy", Kind: KindEnum, Unit: "fifo|lru",
@@ -397,23 +387,23 @@ func buildCatalog() []Param {
 			func(m *Model) *sim.Duration { return &m.PollPerVI }),
 
 		// Wire / transport.
-		intParamMin("WireMTU", "bytes", "fragment payload bytes on the wire", 1,
+		intParam("WireMTU", "bytes", "fragment payload bytes on the wire", 1,
 			func(m *Model) *int { return &m.WireMTU }),
 		durParam("AckProcessing", "NIC cost to create or absorb an ack",
 			func(m *Model) *sim.Duration { return &m.AckProcessing }),
-		intParam("AckBytes", "bytes", "ack wire size",
+		intParam("AckBytes", "bytes", "ack wire size", 0,
 			func(m *Model) *int { return &m.AckBytes }),
 		durParam("RetransmitTimeout", "go-back-N retransmission timeout",
 			func(m *Model) *sim.Duration { return &m.RetransmitTimeout }),
-		intParam("MaxRetries", "count", "retransmission attempts before failure",
+		intParam("MaxRetries", "count", "retransmission attempts before failure", 0,
 			func(m *Model) *int { return &m.MaxRetries }),
 		boolParam("AdaptiveRTO", "adaptive (Jacobson/Karn) retransmission timeout",
 			func(m *Model) *bool { return &m.AdaptiveRTO }),
 
 		// VIA attributes.
-		intParam("MaxTransferSize", "bytes", "largest single-descriptor transfer",
+		intParam("MaxTransferSize", "bytes", "largest single-descriptor transfer", 1,
 			func(m *Model) *int { return &m.MaxTransferSize }),
-		intParam("MaxSegments", "count", "data segments per descriptor",
+		intParam("MaxSegments", "count", "data segments per descriptor", 1,
 			func(m *Model) *int { return &m.MaxSegments }),
 		boolParam("SupportsRDMAWrite", "provider implements RDMA write",
 			func(m *Model) *bool { return &m.SupportsRDMAWrite }),

@@ -1,6 +1,7 @@
 package provider
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -220,10 +221,18 @@ func TestOverrideApplyIsIdempotent(t *testing.T) {
 // compile.
 func TestParamDomains(t *testing.T) {
 	bad := map[string][]string{
-		"WireMTU":      {"0", "-1"},
-		"BandwidthBps": {"0", "-1", "inf", "NaN", "-inf"},
-		"TLBCapacity":  {"-5", "-1"},
-		"DoorbellCost": {"-3us", "-1ns", "inf", "nan", "1e300s"},
+		"WireMTU":          {"0", "-1"},
+		"BandwidthBps":     {"0", "-1", "inf", "NaN", "-inf"},
+		"TLBCapacity":      {"-5", "-1"},
+		"DoorbellCost":     {"-3us", "-1ns", "inf", "nan", "1e300s"},
+		"FrameOverhead":    {"-100", "-1"},
+		"AckBytes":         {"-5"},
+		"MaxRetries":       {"-1"},
+		"NetTopoDegree":    {"-1"},
+		"NetSwitchBufPkts": {"-1"},
+		"MaxTransferSize":  {"0", "-1"},
+		"MaxSegments":      {"0"},
+		"DropRate":         {"1.5", "-0.1", "NaN", "inf", "1.0000001"},
 	}
 	for name, values := range bad {
 		for _, v := range values {
@@ -233,10 +242,18 @@ func TestParamDomains(t *testing.T) {
 		}
 	}
 	good := map[string][]string{
-		"WireMTU":      {"1", "1500"},
-		"BandwidthBps": {"1", "1.25e9"},
-		"TLBCapacity":  {"0", "64"},
-		"DoorbellCost": {"0", "0us", "2us"},
+		"WireMTU":          {"1", "1500"},
+		"BandwidthBps":     {"1", "1.25e9"},
+		"TLBCapacity":      {"0", "64"},
+		"DoorbellCost":     {"0", "0us", "2us"},
+		"FrameOverhead":    {"0", "32"},
+		"AckBytes":         {"0", "64"},
+		"MaxRetries":       {"0", "16"},
+		"NetTopoDegree":    {"0", "4"},
+		"NetSwitchBufPkts": {"0", "8"},
+		"MaxTransferSize":  {"1", "65536"},
+		"MaxSegments":      {"1", "252"},
+		"DropRate":         {"0", "0.01", "1"},
 	}
 	for name, values := range good {
 		for _, v := range values {
@@ -261,6 +278,30 @@ func TestParamDomains(t *testing.T) {
 		}
 		if err := p.Set(m, "0"); err != nil {
 			t.Errorf("%s rejected zero: %v", p.Name, err)
+		}
+	}
+}
+
+// TestEveryNumericParamHasDomain fails if any int or float entry of the
+// catalog accepts an out-of-domain value. Every count, size and capacity
+// has a floor of at least zero, and every float is a finite non-negative
+// quantity, so these values must fail for each entry, leaving the model
+// untouched.
+func TestEveryNumericParamHasDomain(t *testing.T) {
+	bad := map[Kind][]string{
+		KindInt:   {"-1", strconv.Itoa(math.MinInt)},
+		KindFloat: {"-1", "NaN", "inf", "-inf"},
+	}
+	for _, p := range Params() {
+		for _, v := range bad[p.Kind] {
+			m := CLAN()
+			before := p.Get(m)
+			if err := p.Set(m, v); err == nil {
+				t.Errorf("%s accepted %s", p.Name, v)
+			}
+			if got := p.Get(m); got != before {
+				t.Errorf("%s: rejected Set changed the value %s -> %s", p.Name, before, got)
+			}
 		}
 	}
 }

@@ -109,10 +109,10 @@ func TestRelErrGuards(t *testing.T) {
 	}{
 		{0, 0, 0},
 		{1, 1, 0},
-		{nan, nan, 0},            // both undefined: not a difference
-		{0, 1, math.Inf(1)},      // zero base, nonzero new
-		{nan, 1, math.Inf(1)},    // baseline went undefined
-		{1, nan, math.Inf(1)},    // new value went undefined
+		{nan, nan, 0},         // both undefined: not a difference
+		{0, 1, math.Inf(1)},   // zero base, nonzero new
+		{nan, 1, math.Inf(1)}, // baseline went undefined
+		{1, nan, math.Inf(1)}, // new value went undefined
 		{2, 1, 0.5},
 		{-2, -1, 0.5},
 	}

@@ -400,6 +400,13 @@ func TestOutOfDomainSetRejected(t *testing.T) {
 		`{"quick": true, "experiments": ["F3"], "set": {"WireMTU": "0"}}`,
 		`{"quick": true, "experiments": ["F3"], "set": {"BandwidthBps": "-1"}}`,
 		`{"quick": true, "experiments": ["F3"], "set": {"DoorbellCost": "-3us"}}`,
+		// Once accepted: this one scheduled an event in the past and
+		// killed the daemon.
+		`{"quick": true, "experiments": ["F3"], "set": {"FrameOverhead": "-100"}}`,
+		`{"quick": true, "experiments": ["F3"], "set": {"AckBytes": "-5"}}`,
+		`{"quick": true, "experiments": ["F3"], "set": {"MaxRetries": "-1"}}`,
+		`{"quick": true, "experiments": ["F3"], "set": {"NetSwitchBufPkts": "-1"}}`,
+		`{"quick": true, "experiments": ["F3"], "set": {"DropRate": "1.5"}}`,
 	} {
 		resp, err := http.Post(hs.URL+"/api/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -442,48 +442,85 @@ func TestTimeArithmetic(t *testing.T) {
 
 type sliceTracer struct{ lines []string }
 
-func (s *sliceTracer) Trace(at Time, what string) {
-	s.lines = append(s.lines, fmt.Sprintf("%v %s", at, what))
+func (s *sliceTracer) Trace(ev TraceEvent) {
+	line := ev.AppendName(append(ev.AppendTrack([]byte(ev.At.String()+" ")), ": "...))
+	s.lines = append(s.lines, string(line))
 }
+
+var testTraceName = NewTraceName("hello %+% dur=%")
 
 func TestTracer(t *testing.T) {
 	e := NewEngine(1)
 	tr := &sliceTracer{}
 	e.SetTracer(tr)
-	e.At(10, func() { e.Tracef("hello %d", 7) })
+	e.At(10, func() {
+		e.Trace(TraceEvent{At: e.Now(), Comp: TraceLink, ID: 3, Name: testTraceName, Args: [6]int64{7, -2, 40}})
+	})
 	e.MustRun()
-	if len(tr.lines) != 1 || tr.lines[0] != "10ns hello 7" {
+	if len(tr.lines) != 1 || tr.lines[0] != "10ns link3: hello 7+-2 dur=40" {
 		t.Fatalf("trace lines = %v", tr.lines)
 	}
 	e.SetTracer(nil)
-	e.Tracef("dropped") // must not panic
+	e.Trace(TraceEvent{Name: testTraceName}) // must not panic
 }
 
-// panicStringer panics if it is ever formatted: it proves Tracef does not
-// evaluate its format when no tracer is installed.
-type panicStringer struct{}
-
-func (panicStringer) String() string { panic("formatted with tracing off") }
-
-func TestTracefDoesNotFormatWhenOff(t *testing.T) {
-	e := NewEngine(1)
-	e.Tracef("%v", panicStringer{})
-}
-
-// TestTracingGuardZeroAlloc pins the hot-path contract: call sites that
-// check Tracing() first pay nothing — not even the variadic argument
-// slice — when tracing is off.
-func TestTracingGuardZeroAlloc(t *testing.T) {
-	e := NewEngine(1)
-	n := testing.AllocsPerRun(200, func() {
-		if e.Tracing() {
-			e.Tracef("pkt %d -> %d at %v", 1, 2, e.Now())
+// TestTraceNameLayouts checks layout rendering: arguments fill the '%'
+// placeholders in order, unused arguments are ignored, and layouts that
+// would need JSON escaping or more arguments than an event carries are
+// rejected at registration.
+func TestTraceNameLayouts(t *testing.T) {
+	for _, c := range []struct {
+		layout string
+		want   string
+	}{
+		{"", ""},
+		{"plain", "plain"},
+		{"%", "1"},
+		{"a=% b=%B %/%", "a=1 b=2B 3/4"},
+		{"% % % % % %", "1 2 3 4 5 6"},
+	} {
+		ev := TraceEvent{Name: NewTraceName(c.layout), Args: [6]int64{1, 2, 3, 4, 5, 6}}
+		if got := string(ev.AppendName(nil)); got != c.want {
+			t.Errorf("layout %q rendered %q, want %q", c.layout, got, c.want)
 		}
-	})
-	if n != 0 {
-		t.Fatalf("guarded trace call allocated %.1f per run with tracing off", n)
+	}
+	for _, bad := range []string{"% % % % % % %", `quote"`, "back\\slash", "<tag>", "a&b", "tab\t", "caf\u00e9"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("layout %q registered, want a panic", bad)
+				}
+			}()
+			NewTraceName(bad)
+		}()
+	}
+	if got := string((&TraceEvent{Comp: TraceSwitch, ID: 12}).AppendTrack(nil)); got != "switch12" {
+		t.Errorf("track = %q, want switch12", got)
 	}
 }
+
+// TestTracingGuardZeroAlloc pins the hot-path contract: a trace call
+// allocates nothing, whether tracing is off or a tracer is installed.
+func TestTracingGuardZeroAlloc(t *testing.T) {
+	e := NewEngine(1)
+	emit := func() {
+		if e.Tracing() {
+			e.Trace(TraceEvent{At: e.Now(), Comp: TraceNIC, ID: 1, Name: testTraceName, Args: [6]int64{1, 2, 3}})
+		}
+	}
+	if n := testing.AllocsPerRun(200, emit); n != 0 {
+		t.Fatalf("guarded trace call allocated %.1f per run with tracing off", n)
+	}
+	var c countTracer
+	e.SetTracer(&c)
+	if n := testing.AllocsPerRun(200, emit); n != 0 || c == 0 {
+		t.Fatalf("trace call allocated %.1f per run with a tracer (%d events)", n, c)
+	}
+}
+
+type countTracer int
+
+func (c *countTracer) Trace(TraceEvent) { *c++ }
 
 // The random source is seeded lazily; an engine that first draws late, in
 // the middle of a run, must see exactly the sequence an eagerly seeded

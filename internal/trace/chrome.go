@@ -1,136 +1,96 @@
 package trace
 
 import (
-	"encoding/json"
+	"bufio"
 	"io"
-	"strings"
+	"strconv"
+
+	"vibe/internal/sim"
 )
 
-// chromeEvent is one record in the Chrome trace-event format, the JSON
-// schema chrome://tracing and Perfetto (ui.perfetto.dev) load directly.
-type chromeEvent struct {
-	Name string                 `json:"name"`
-	Ph   string                 `json:"ph"`
-	Ts   float64                `json:"ts"`            // microseconds
-	Dur  float64                `json:"dur,omitempty"` // microseconds, complete events only
-	Pid  int                    `json:"pid"`
-	Tid  int                    `json:"tid"`
-	S    string                 `json:"s,omitempty"`
-	Args map[string]interface{} `json:"args,omitempty"`
-}
-
-type chromeFile struct {
-	TraceEvents []chromeEvent `json:"traceEvents"`
-}
-
-// componentOrder lists component-name prefixes in pipeline order — the
-// order a message actually flows through the system — so Perfetto sorts
-// the thread tracks top-to-bottom the way the reader thinks about the
-// data path, instead of by hash order.
-var componentOrder = []string{"cpu", "via", "span", "nic", "link", "switch", "fabric"}
-
-// componentRank maps a component name ("nic0", "fabric", "span1") to a
-// sort index: pipeline position first, instance number second. Unknown
-// components (and the catch-all "sim") sort after the pipeline.
-func componentRank(comp string) int {
-	unknown := (len(componentOrder) + 1) * 100
-	for i, prefix := range componentOrder {
-		if !strings.HasPrefix(comp, prefix) {
-			continue
-		}
-		inst := 0
-		for _, c := range comp[len(prefix):] {
-			if c < '0' || c > '9' {
-				return unknown
-			}
-			inst = inst*10 + int(c-'0')
-		}
-		return (i+1)*100 + inst
-	}
-	return unknown
-}
-
-// WriteChrome exports the buffered entries as a Chrome trace-event JSON
-// document. Each recorded system (pid) becomes a process track; within a
-// process, the "component:" prefix of a trace line (e.g. "nic0: rx ...")
-// becomes a named thread track, so the NIC engines of each host line up as
-// parallel timelines. Entries without a duration are thread-scoped instant
-// events; entries with one (completed message spans) are complete ("X")
-// events that render as real bars. process_sort_index/thread_sort_index
-// metadata keeps systems in run order and components in pipeline order.
+// WriteChrome exports the buffered events as a Chrome trace-event JSON
+// document, the format chrome://tracing and Perfetto (ui.perfetto.dev)
+// load directly. Each recorded system (pid) becomes a process track, and
+// within it each component instance (span0, nic1, link3, switch2) becomes
+// a named thread track, so the NIC engines of each host line up as
+// parallel timelines. Events without a duration are thread-scoped instant
+// ("i") events; spans are complete ("X") events that render as real bars.
+// process_sort_index and thread_sort_index metadata keep systems in run
+// order and components in data-path order.
+//
+// The document is written event by event as the buffer is walked,
+// rendered into one reused byte slice, so exporting allocates nothing per
+// event.
 func (r *Recorder) WriteChrome(w io.Writer) error {
-	f := chromeFile{TraceEvents: []chromeEvent{}}
-
-	// tids maps (pid, component) to a stable thread id per process.
-	type key struct {
-		pid  int
-		comp string
+	type track struct {
+		pid  int32
+		comp sim.TraceComp
+		id   int32
 	}
-	tids := make(map[key]int)
-	nextTid := make(map[int]int)
-	seenPid := make(map[int]bool)
-
-	r.each(func(e Entry) {
-		comp, name := splitComponent(e.What)
-		if !seenPid[e.Pid] {
-			seenPid[e.Pid] = true
-			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: "process_sort_index",
-				Ph:   "M",
-				Pid:  e.Pid,
-				Args: map[string]interface{}{"sort_index": e.Pid},
-			})
+	tids := make(map[track]int)
+	threads := make(map[int32]int) // thread tracks per pid so far
+	bw := bufio.NewWriterSize(w, 64<<10)
+	bw.WriteString(`{"traceEvents":[`)
+	b := make([]byte, 0, 512)
+	for k := 0; k < r.n; k++ {
+		// Every record starts with a comma; the document's first drops it.
+		e := r.at(k)
+		b = b[:0]
+		if _, ok := threads[e.pid]; !ok {
+			threads[e.pid] = 0
+			b = appendMeta(b, "process_sort_index", e.pid, 0)
+			b = append(strconv.AppendInt(append(b, `"sort_index":`...), int64(e.pid), 10), "}}"...)
 		}
-		k := key{e.Pid, comp}
-		tid, ok := tids[k]
+		t := track{e.pid, e.ev.Comp, e.ev.ID}
+		tid, ok := tids[t]
 		if !ok {
-			nextTid[e.Pid]++
-			tid = nextTid[e.Pid]
-			tids[k] = tid
-			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: "thread_name",
-				Ph:   "M",
-				Pid:  e.Pid,
-				Tid:  tid,
-				Args: map[string]interface{}{"name": comp},
-			}, chromeEvent{
-				Name: "thread_sort_index",
-				Ph:   "M",
-				Pid:  e.Pid,
-				Tid:  tid,
-				Args: map[string]interface{}{"sort_index": componentRank(comp)},
-			})
+			threads[e.pid]++
+			tid = threads[e.pid]
+			tids[t] = tid
+			b = appendMeta(b, "thread_name", e.pid, tid)
+			b = append(e.ev.AppendTrack(append(b, `"name":"`...)), `"}}`...)
+			b = appendMeta(b, "thread_sort_index", e.pid, tid)
+			b = append(strconv.AppendInt(append(b, `"sort_index":`...), rank(&e.ev), 10), "}}"...)
 		}
-		if e.Dur > 0 {
-			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: name,
-				Ph:   "X",
-				Ts:   float64(e.At) / 1e3, // ns -> us
-				Dur:  float64(e.Dur) / 1e3,
-				Pid:  e.Pid,
-				Tid:  tid,
-			})
-			return
+		b = e.ev.AppendName(append(b, `,{"name":"`...))
+		if e.ev.Dur > 0 {
+			b = appendMicros(append(b, `","ph":"X","ts":`...), int64(e.ev.At))
+			b = appendMicros(append(b, `,"dur":`...), int64(e.ev.Dur))
+			b = appendIDs(b, e.pid, tid)
+		} else {
+			b = appendMicros(append(b, `","ph":"i","ts":`...), int64(e.ev.At))
+			b = append(appendIDs(b, e.pid, tid), `,"s":"t"`...)
 		}
-		f.TraceEvents = append(f.TraceEvents, chromeEvent{
-			Name: name,
-			Ph:   "i",
-			Ts:   float64(e.At) / 1e3, // ns -> us
-			Pid:  e.Pid,
-			Tid:  tid,
-			S:    "t",
-		})
-	})
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
+		b = append(b, '}')
+		if k == 0 {
+			bw.Write(b[1:])
+		} else {
+			bw.Write(b)
+		}
+	}
+	bw.WriteString("]}\n")
+	return bw.Flush() // reports the first failed write, if any
 }
 
-// splitComponent splits "nic0: rx kind=1 ..." into ("nic0", "rx kind=1 ...").
-// Lines without a "component:" prefix land on a catch-all "sim" thread.
-func splitComponent(what string) (comp, name string) {
-	if i := strings.Index(what, ": "); i > 0 && !strings.ContainsAny(what[:i], " \t") {
-		return what[:i], what[i+2:]
-	}
-	return "sim", what
+// rank is a track's thread_sort_index: data-path position, then instance
+// number. Positions start at 3 (span 300, nic 400, link 500, switch 600)
+// so exported traces stay byte-identical to those of earlier releases.
+func rank(ev *sim.TraceEvent) int64 { return int64(ev.Comp+3)*100 + int64(ev.ID) }
+
+// appendMeta appends the start of a metadata record, up to the opening
+// of its args object.
+func appendMeta(b []byte, name string, pid int32, tid int) []byte {
+	b = append(append(append(b, `,{"name":"`...), name...), `","ph":"M","ts":0`...)
+	return append(appendIDs(b, pid, tid), `,"args":{`...)
+}
+
+func appendIDs(b []byte, pid int32, tid int) []byte {
+	b = strconv.AppendInt(append(b, `,"pid":`...), int64(pid), 10)
+	return strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
+}
+
+// appendMicros appends a virtual-time value in nanoseconds as
+// microseconds, formatted the way encoding/json formats a float64.
+func appendMicros(b []byte, ns int64) []byte {
+	return strconv.AppendFloat(b, float64(ns)/1e3, 'f', -1, 64)
 }

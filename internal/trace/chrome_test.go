@@ -4,7 +4,35 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"vibe/internal/sim"
 )
+
+// chromeDoc is the part of the Chrome trace-event schema the tests read.
+type chromeDoc struct {
+	TraceEvents []struct {
+		Name string                 `json:"name"`
+		Ph   string                 `json:"ph"`
+		Ts   float64                `json:"ts"`
+		Dur  float64                `json:"dur"`
+		Pid  int                    `json:"pid"`
+		Tid  int                    `json:"tid"`
+		Args map[string]interface{} `json:"args"`
+	} `json:"traceEvents"`
+}
+
+func exportChrome(t *testing.T, r *Recorder) chromeDoc {
+	t.Helper()
+	var b bytes.Buffer
+	if err := r.WriteChrome(&b); err != nil {
+		t.Fatal(err)
+	}
+	var doc chromeDoc
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatalf("export is not valid JSON: %v\n%s", err, b.Bytes())
+	}
+	return doc
+}
 
 // TestWriteChromeSchema validates the export against the Chrome
 // trace-event format: a top-level traceEvents array whose records carry
@@ -15,9 +43,12 @@ func TestWriteChromeSchema(t *testing.T) {
 	var r Recorder
 	t1 := r.ForSystem()
 	t2 := r.ForSystem()
-	t1.Trace(1500, "nic0: doorbell vi=1")
-	t1.Trace(2500, "nic1: rx kind=0")
-	t2.Trace(500, "free-form line")
+	t1.Trace(tick(1500, 1))
+	ev := tick(2500, 2)
+	ev.ID = 1
+	t1.Trace(ev)
+	ev.Comp = sim.TraceLink
+	t2.Trace(ev)
 
 	var b bytes.Buffer
 	if err := r.WriteChrome(&b); err != nil {
@@ -87,34 +118,27 @@ func TestWriteChromeSchema(t *testing.T) {
 	}
 }
 
-// TestWriteChromeTracks checks the component and pid mapping: entries from
-// different systems land in different processes, lines with distinct
-// "component:" prefixes land on distinct threads, and timestamps convert
-// from virtual nanoseconds to microseconds.
+// TestWriteChromeTracks checks the component and pid mapping: events
+// from different systems land in different processes, distinct component
+// instances land on distinct threads, and timestamps convert from virtual
+// nanoseconds to microseconds.
 func TestWriteChromeTracks(t *testing.T) {
 	var r Recorder
 	sys := r.ForSystem()
-	sys.Trace(3000, "nic0: tx")
-	sys.Trace(4000, "nic1: rx")
-	r.Trace(1000, "nic0: other system") // pid 0, via the Recorder directly
-
-	var b bytes.Buffer
-	if err := r.WriteChrome(&b); err != nil {
-		t.Fatal(err)
-	}
-	var doc chromeFile
-	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
+	sys.Trace(tick(3000, 1))
+	ev := tick(4000, 2)
+	ev.ID = 1
+	sys.Trace(ev)
+	r.Trace(tick(1000, 3)) // pid 0, via the Recorder directly
 
 	pids := make(map[int]bool)
 	tidByName := make(map[string]int)
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range exportChrome(t, &r).TraceEvents {
 		pids[ev.Pid] = true
 		if ev.Ph == "M" && ev.Name == "thread_name" && ev.Pid == 1 {
 			tidByName[ev.Args["name"].(string)] = ev.Tid
 		}
-		if ev.Ph == "i" && ev.Name == "tx" && ev.Ts != 3.0 {
+		if ev.Ph == "i" && ev.Name == "tick 1" && ev.Ts != 3.0 {
 			t.Fatalf("ts = %v us, want 3.0", ev.Ts)
 		}
 	}
@@ -126,49 +150,53 @@ func TestWriteChromeTracks(t *testing.T) {
 	}
 }
 
-// TestWriteChromeSpans checks duration-carrying entries export as "X"
+// TestWriteChromeSpans checks duration-carrying events export as "X"
 // complete events with start and duration in microseconds.
 func TestWriteChromeSpans(t *testing.T) {
 	var r Recorder
-	tr := r.ForSystem()
-	tr.Trace(1000, "nic0: instant")
-	r.TraceSpan(2000, 5000, "span0: send 4096B ok")
+	r.ForSystem().Trace(tick(1000, 1))
+	r.Trace(sim.TraceEvent{At: 2000, Dur: 5000, Comp: sim.TraceSpan, Name: testSend, Args: [6]int64{4096}})
 
-	var b bytes.Buffer
-	if err := r.WriteChrome(&b); err != nil {
-		t.Fatal(err)
-	}
-	var doc chromeFile
-	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-
-	var complete *chromeEvent
-	for i, ev := range doc.TraceEvents {
-		if ev.Ph == "X" {
-			complete = &doc.TraceEvents[i]
+	var complete int
+	for _, ev := range exportChrome(t, &r).TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		complete++
+		if ev.Name != "send 4096B ok" || ev.Ts != 2.0 || ev.Dur != 5.0 {
+			t.Fatalf("complete event = %+v, want send 4096B ok, ts=2us dur=5us", ev)
 		}
 	}
-	if complete == nil {
-		t.Fatal("no complete event exported")
-	}
-	if complete.Name != "send 4096B ok" || complete.Ts != 2.0 || complete.Dur != 5.0 {
-		t.Fatalf("complete event = %+v, want name trimmed, ts=2us dur=5us", complete)
+	if complete != 1 {
+		t.Fatalf("%d complete events exported, want 1", complete)
 	}
 }
 
-// TestComponentRank checks pipeline ordering: cpu before via before span
-// before nic before link before switch before fabric, instances in
-// numeric order, and unknown components after everything.
+// TestWriteChromeEmpty checks an empty recorder still exports a valid
+// document with an empty event array.
+func TestWriteChromeEmpty(t *testing.T) {
+	var b bytes.Buffer
+	if err := new(Recorder).WriteChrome(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != "{\"traceEvents\":[]}\n" {
+		t.Fatalf("empty export = %q", got)
+	}
+}
+
+// TestComponentRank checks data-path ordering: span before nic before
+// link before switch, instances in numeric order within a component.
 func TestComponentRank(t *testing.T) {
-	order := []string{"cpu0", "cpu1", "via0", "span0", "nic0", "nic1", "nic10", "link3", "switch0", "switch2", "fabric", "sim", "mystery"}
+	order := []sim.TraceEvent{
+		{Comp: sim.TraceSpan}, {Comp: sim.TraceSpan, ID: 1}, {Comp: sim.TraceNIC}, {Comp: sim.TraceNIC, ID: 1},
+		{Comp: sim.TraceNIC, ID: 10}, {Comp: sim.TraceLink, ID: 3}, {Comp: sim.TraceSwitch}, {Comp: sim.TraceSwitch, ID: 2},
+	}
 	for i := 1; i < len(order); i++ {
-		a, b := componentRank(order[i-1]), componentRank(order[i])
-		if a > b {
-			t.Errorf("rank(%s)=%d > rank(%s)=%d", order[i-1], a, order[i], b)
+		if a, b := rank(&order[i-1]), rank(&order[i]); a >= b {
+			t.Errorf("rank(%s)=%d >= rank(%s)=%d", order[i-1].AppendTrack(nil), a, order[i].AppendTrack(nil), b)
 		}
 	}
-	if componentRank("sim") <= componentRank("fabric") {
-		t.Error("catch-all sim must sort after the pipeline")
+	if got := rank(&sim.TraceEvent{Comp: sim.TraceNIC, ID: 7}); got != 407 {
+		t.Errorf("rank(nic7) = %d, want 407", got)
 	}
 }

